@@ -21,6 +21,13 @@
     python -m repro static all --json static-report.json
     python -m repro static dijkstra --explain 0x10008,0x1000c
     python -m repro storage                   # Table II budget
+
+Each ``experiment`` command builds one
+:class:`~repro.experiments.engine.SweepEngine` from its flags
+(``--jobs``, ``--cache-dir``, ``--no-cache``, ``--job-timeout``,
+``--retries``) and hands it to the figure or table, which takes its
+cells from one sweep; ``--report-json`` writes that sweep's report.
+``simulate --segments`` runs :meth:`SweepEngine.segmented` directly.
 """
 
 from __future__ import annotations
@@ -35,10 +42,9 @@ from repro.config import DEFAULT_MAX_UOPS, FusionMode, ProcessorConfig
 from repro.core.simulator import ipc_uplift, simulate, simulate_modes
 from repro.core.storage import helios_storage_budget
 from repro.experiments import (
-    ResultCache, SweepJobError, SweepReport, cpi_accounting,
-    figure2, figure3, figure4, figure5, figure8, figure9, figure10,
-    last_sweep_report, legality_census, run_suite,
-    table1, table2, table3,
+    SWEEP_MODES, ResultCache, SweepEngine, SweepJobError, SweepReport,
+    cpi_accounting, figure2, figure3, figure4, figure5, figure8, figure9,
+    figure10, legality_census, table1, table2, table3,
 )
 from repro.sampling import DEFAULT_WINDOWS as _SAMPLE_DEFAULT_WINDOWS
 from repro.workloads import (
@@ -50,18 +56,6 @@ _EXPERIMENTS = {
     "fig8": figure8, "fig9": figure9, "fig10": figure10,
     "table1": table1, "table3": table3, "cpi": cpi_accounting,
     "legality": legality_census,
-}
-
-#: The simulation sweep each experiment needs (census-only experiments
-#: — fig2/fig4/fig5/table1 — run no pipeline simulations at all).
-_EXPERIMENT_MODES = {
-    "fig3": (FusionMode.NONE, FusionMode.CSF_SBR, FusionMode.RISCV_PP),
-    "fig8": (FusionMode.HELIOS, FusionMode.ORACLE),
-    "fig9": (FusionMode.NONE, FusionMode.HELIOS, FusionMode.ORACLE),
-    "fig10": (FusionMode.NONE, FusionMode.RISCV, FusionMode.CSF_SBR,
-              FusionMode.RISCV_PP, FusionMode.HELIOS, FusionMode.ORACLE),
-    "table3": (FusionMode.HELIOS,),
-    "cpi": (FusionMode.NONE, FusionMode.HELIOS),
 }
 
 _MODES = {mode.value.lower(): mode for mode in FusionMode}
@@ -157,15 +151,14 @@ def _simulate_sampled(args, config: ProcessorConfig) -> int:
 
 
 def _simulate_segmented(args, config: ProcessorConfig) -> int:
-    from repro.experiments import get_segmented_result
     if args.segments < 1:
         raise SystemExit("--segments needs at least 1 segment")
     mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
-    result = get_segmented_result(
+    engine = SweepEngine(jobs=args.jobs, job_timeout=args.job_timeout,
+                         retries=args.retries)
+    result = engine.segmented(
         args.workload, mode, args.segments, warmup=args.warmup,
-        config=config, jobs=args.jobs, max_uops=args.max_uops,
-        scale_to=args.scale_to, job_timeout=args.job_timeout,
-        retries=args.retries)
+        config=config, max_uops=args.max_uops, scale_to=args.scale_to)
     print(result.summary())
     warm = ("full-prefix (bit-exact splice)" if args.warmup is None
             else "bounded %d µ-ops (approximate splice)" % args.warmup)
@@ -216,55 +209,49 @@ def _cmd_experiment(args) -> int:
                              "(static storage arithmetic)")
         print(table2().render())
         return 0
-    runner = _EXPERIMENTS.get(args.name)
-    if runner is None:
+    experiment = _EXPERIMENTS.get(args.name)
+    if experiment is None:
         raise SystemExit("unknown experiment %r; choose from: %s, table2"
                          % (args.name, ", ".join(sorted(_EXPERIMENTS))))
-    modes = _EXPERIMENT_MODES.get(args.name, ())
-    if args.fp_kind and FusionMode.HELIOS not in modes:
+    if args.fp_kind and not _simulates_helios(experiment):
         raise SystemExit(
             "--fp-kind selects the Helios fusion predictor, which %r "
             "never simulates; it applies to: %s"
             % (args.name, ", ".join(sorted(
-                name for name, sweep in _EXPERIMENT_MODES.items()
-                if FusionMode.HELIOS in sweep))))
+                name for name, fn in _EXPERIMENTS.items()
+                if _simulates_helios(fn)))))
     config = _config_from(args)
     workloads = _workload_list(args.workloads)
-    if modes:
-        # Warm the (memo + disk) cache in parallel; the generator below
-        # then assembles its rows entirely from cache hits.
-        try:
-            run_suite(modes, workloads=workloads, config=config,
-                      jobs=args.jobs, cache_dir=args.cache_dir,
-                      use_cache=False if args.no_cache else None,
-                      job_timeout=args.job_timeout, retries=args.retries)
-        except SweepJobError as exc:
-            _write_report_json(args.report_json)
-            print("sweep failed: %s" % exc, file=sys.stderr)
-            return 1
-        _write_report_json(args.report_json)
-    print(runner(workloads, config=config).render())
+    if experiment.__name__ not in SWEEP_MODES:
+        print(experiment(workloads, config=config).render())
+        return 0
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    engine = SweepEngine(jobs=args.jobs, cache=cache,
+                         use_cache=False if args.no_cache else None,
+                         job_timeout=args.job_timeout, retries=args.retries)
+    try:
+        result = experiment(workloads, config=config, engine=engine)
+    except SweepJobError as exc:
+        _write_report_json(args.report_json, exc.report)
+        print("sweep failed: %s" % exc, file=sys.stderr)
+        return 1
+    _write_report_json(args.report_json, engine.last_report)
+    print(result.render())
     return 0
 
 
-def _write_json(path: str, data: dict) -> None:
-    """Persist one JSON-safe dict, pretty-printed and key-sorted."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _simulates_helios(experiment) -> bool:
+    return FusionMode.HELIOS in SWEEP_MODES.get(experiment.__name__, ())
 
 
-def _write_report_json(path: Optional[str]) -> None:
-    """Persist the last sweep's execution report (``--report-json``)."""
-    if not path:
+def _write_report_json(path: Optional[str],
+                       report: Optional[SweepReport]) -> None:
+    """Persist this command's sweep execution report (``--report-json``);
+    nothing is written when every cell was a cache hit and no job ran."""
+    if not path or report is None:
         return
     import json
 
-    report = last_sweep_report()
-    if report is None:
-        return
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
     print("wrote sweep execution report to %s" % path)
@@ -351,8 +338,7 @@ def _cmd_bench(args) -> int:
     workloads = _workload_list(args.workloads)
     previous = load_bench(args.output)
     payload = run_bench(workloads=workloads, quick=args.quick,
-                        max_uops=args.max_uops, sample=args.sample,
-                        serve=args.serve)
+                        max_uops=args.max_uops, sample=args.sample)
     compare_with_previous(payload, previous)
     path = write_bench(payload, args.output)
     totals = payload["totals"]
@@ -395,20 +381,6 @@ def _cmd_bench(args) -> int:
                      row["full_ipc"], 100 * row["ipc_err_vs_full"],
                      100 * row["ipc_rel_err_bound"],
                      "" if row["within_bound"] else "  OUT OF BOUND"))
-    serving = payload.get("serving") or {}
-    if serving.get("ratios"):
-        print("  serving (%d requests, %d closed-loop workers):"
-              % (serving["requests"], serving["workers"]))
-        for key in sorted(serving["ratios"], key=int):
-            row = serving["ratios"][key]
-            print("    dup %3s%%  %8.1f req/s  p50 %7.1f ms  "
-                  "p99 %7.1f ms  %d execution(s) for %d ok"
-                  % (key, row["throughput_rps"],
-                     row["latency_ms"]["p50"], row["latency_ms"]["p99"],
-                     row["executions"], row["ok"]))
-        if serving.get("speedup_90_vs_0"):
-            print("    90%% vs 0%% duplicates: %.1fx served-request "
-                  "throughput" % serving["speedup_90_vs_0"])
     delta = payload.get("vs_previous")
     if delta and delta.get("aggregate_speedup"):
         verdict = ("cycles identical" if delta["cycles_identical"]
@@ -421,100 +393,6 @@ def _cmd_bench(args) -> int:
                  verdict))
     print("wrote %s" % path)
     return 0
-
-
-def _endpoint_from(args) -> dict:
-    """Socket/TCP endpoint kwargs shared by serve and loadgen."""
-    if args.socket and args.host:
-        raise SystemExit("choose one of --socket or --host, not both")
-    if args.socket:
-        return {"path": args.socket}
-    if args.host:
-        return {"host": args.host, "port": args.port}
-    raise SystemExit("an endpoint is required: --socket PATH or "
-                     "--host HOST [--port N]")
-
-
-def _cmd_serve(args) -> int:
-    """Run the long-running simulation service until SIGINT/SIGTERM."""
-    import asyncio
-    import json
-    import signal
-
-    from repro.serve.server import SimulationServer
-
-    server = SimulationServer(
-        pool_jobs=args.pool_jobs,
-        queue_limit=args.queue_limit,
-        lru_capacity=args.lru_capacity,
-        use_disk_cache=False if args.no_disk_cache else None,
-        job_timeout=args.job_timeout,
-        retries=args.retries,
-        max_batch=args.max_batch,
-        **_endpoint_from(args))
-
-    async def _run() -> None:
-        await server.start()
-        print("repro serve: listening on %s  (pool_jobs=%d, "
-              "queue_limit=%d, lru=%d)"
-              % (server.address, server.pool_jobs, server.queue_limit,
-                 args.lru_capacity))
-        stop = asyncio.Event()
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await stop.wait()
-        print("repro serve: draining...")
-        await server.drain()
-        await server.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        pass
-    if args.metrics_json:
-        _write_json(args.metrics_json, server.metrics())
-        print("repro serve: metrics -> %s" % args.metrics_json)
-    return 0
-
-
-def _cmd_loadgen(args) -> int:
-    """Drive a deterministic load run against a live server."""
-    from repro.serve.loadgen import LoadSpec, run_load
-
-    requests = 30 if args.quick else args.requests
-    spec = LoadSpec(requests=requests,
-                    duplicate_ratio=args.duplicate_ratio,
-                    hot_keys=args.hot_keys,
-                    workers=args.workers,
-                    seed=args.seed,
-                    verb=args.verb)
-    report = run_load(spec, timeout=args.timeout, **_endpoint_from(args))
-    data = report.to_dict()
-    print("loadgen: %d request(s), %d ok, %.1f req/s over %.2f s"
-          % (data["requests"], data["ok"], data["throughput_rps"],
-             data["elapsed_s"]))
-    print("  latency ms: p50 %(p50).1f  p90 %(p90).1f  p99 %(p99).1f  "
-          "max %(max).1f" % data["latency_ms"])
-    if data["tiers"]:
-        print("  tiers: " + ", ".join(
-            "%s=%d" % (tier, count)
-            for tier, count in sorted(data["tiers"].items())))
-    if data["errors"]:
-        print("  errors: " + ", ".join(
-            "%s=%d" % (code, count)
-            for code, count in sorted(data["errors"].items())))
-    if data["executions"]:
-        print("  server executions: %d  (dedup saved %d)"
-              % (data["executions"],
-                 max(0, data["ok"] - data["executions"])))
-    if args.json:
-        _write_json(args.json, data)
-        print("loadgen: report -> %s" % args.json)
-    return 0 if data["ok"] == data["requests"] else 1
 
 
 def _cmd_profile(args) -> int:
@@ -829,79 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also benchmark sampled simulation on "
                             "scaled traces: speedup vs full detail + "
                             "observed IPC error vs the reported bound")
-    bench.add_argument("--serve", action="store_true",
-                       help="also benchmark the simulation service: "
-                            "served-request throughput + latency "
-                            "percentiles at 0/50/90%% duplicate "
-                            "ratios")
     bench.add_argument("--output", default="BENCH_pipeline.json",
                        metavar="FILE", help="output path")
     bench.set_defaults(func=_cmd_bench)
-
-    serve = sub.add_parser(
-        "serve", help="long-running simulation service (JSON lines "
-                      "over a unix socket or TCP)")
-    serve.add_argument("--socket", metavar="PATH",
-                       help="bind a unix socket at PATH")
-    serve.add_argument("--host", metavar="HOST",
-                       help="bind TCP on HOST (with --port)")
-    serve.add_argument("--port", type=int, default=0, metavar="N",
-                       help="TCP port (default: kernel-assigned)")
-    serve.add_argument("--pool-jobs", type=int, default=1, metavar="N",
-                       help="worker processes per batch (default 1: "
-                            "serial in-supervisor execution)")
-    serve.add_argument("--queue-limit", type=int, default=64,
-                       metavar="N",
-                       help="max queued+executing requests before "
-                            "busy responses (default 64)")
-    serve.add_argument("--lru-capacity", type=int, default=256,
-                       metavar="N",
-                       help="in-memory result tier entries (default "
-                            "256; 0 disables)")
-    serve.add_argument("--no-disk-cache", action="store_true",
-                       help="skip the persistent result cache tier")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-job deadline (pool mode only)")
-    serve.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retry budget per failed job")
-    serve.add_argument("--max-batch", type=int, default=8, metavar="N",
-                       help="max requests per execution batch")
-    serve.add_argument("--metrics-json", metavar="FILE",
-                       help="dump serving metrics to FILE on exit")
-    serve.set_defaults(func=_cmd_serve)
-
-    loadgen = sub.add_parser(
-        "loadgen", help="deterministic load generator against a "
-                        "running `repro serve`")
-    loadgen.add_argument("--socket", metavar="PATH",
-                         help="connect to a unix socket")
-    loadgen.add_argument("--host", metavar="HOST",
-                         help="connect via TCP (with --port)")
-    loadgen.add_argument("--port", type=int, default=0, metavar="N")
-    loadgen.add_argument("--requests", type=int, default=200,
-                         metavar="N", help="schedule length")
-    loadgen.add_argument("--quick", action="store_true",
-                         help="30-request smoke run")
-    loadgen.add_argument("--duplicate-ratio", type=float, default=0.5,
-                         metavar="R",
-                         help="fraction of requests drawn from the "
-                              "hot set (default 0.5)")
-    loadgen.add_argument("--hot-keys", type=int, default=8, metavar="N",
-                         help="distinct hot (workload, mode) keys")
-    loadgen.add_argument("--workers", type=int, default=4, metavar="N",
-                         help="closed-loop client threads")
-    loadgen.add_argument("--seed", type=int, default=0, metavar="N",
-                         help="schedule seed (same seed = same "
-                              "requests)")
-    loadgen.add_argument("--verb", default="simulate",
-                         choices=["simulate", "sample", "analyze"],
-                         help="request type to issue")
-    loadgen.add_argument("--timeout", type=float, default=300.0,
-                         metavar="SECONDS", help="per-request timeout")
-    loadgen.add_argument("--json", metavar="FILE",
-                         help="write the load report to FILE")
-    loadgen.set_defaults(func=_cmd_loadgen)
 
     profile = sub.add_parser(
         "profile", help="cProfile one pipeline run: host time by stage, "

@@ -21,9 +21,15 @@ it.  ``fork`` workers then inherit the loaded traces and pair sets
 through copy-on-write; ``spawn`` workers replay the serialized traces
 from the store instead of re-interpreting.
 
-Lookup order per job: process-local memo → persistent disk cache →
-simulate.  Both layers key on the *full* configuration fingerprint, so
-custom-config sweeps are cached exactly like default-config ones.
+Lookup order per job: the engine's in-process memo → persistent disk
+cache → simulate.  Both layers key on the *full* configuration
+fingerprint, so custom-config sweeps are cached exactly like
+default-config ones.
+
+The engine is the one path from (workload, configuration) to a
+:class:`~repro.core.results.SimResult`: ``repro experiment`` builds one
+per command from its flags, and every simulation-backed figure or table
+takes its cells from one :meth:`SweepEngine.sweep` call.
 """
 
 from __future__ import annotations
@@ -173,32 +179,6 @@ def _execute_job_guarded(job: Tuple[str, ProcessorConfig],
         return False, JobFailure.from_exception(exc)
 
 
-def preload_traces(specs: Iterable[Tuple[str, ProcessorConfig,
-                                         Optional[int]]]) -> None:
-    """Capture every distinct workload trace exactly once, and
-    pre-extract the oracle pair sets fusion-consuming jobs will need.
-
-    ``specs`` is ``(name, config, max_uops)`` — ``max_uops=None``
-    means the catalog default capture.  Run this in the parent before
-    any worker pool exists: ``fork`` workers then inherit the loaded
-    traces/pair sets via copy-on-write and replay instead of
-    re-interpreting, while ``spawn`` workers reload the same traces
-    from the persistent store.  Repeats are free (the workload memo
-    and the per-trace pair memo both deduplicate), so callers can pass
-    one spec per job without pre-deduplicating.  Shared by the sweep
-    engine and the simulation service's batch executor.
-    """
-    for name, config, max_uops in specs:
-        if max_uops is not None:
-            trace = build_workload(name, max_uops=max_uops)
-        else:
-            trace = build_workload(name)
-        if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-            cached_oracle_pairs(
-                trace, granularity=config.cache_access_granularity,
-                max_distance=config.max_fusion_distance)
-
-
 class SweepEngine:
     """Runs (workload, mode) sweeps through memo + disk cache + the
     fault-tolerant worker scheduler (see :mod:`repro.experiments.faults`).
@@ -218,7 +198,6 @@ class SweepEngine:
                  jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  use_cache: Optional[bool] = None,
-                 memo: Optional[Dict[str, SimResult]] = None,
                  job_timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  backoff_base: Optional[float] = None):
@@ -226,7 +205,7 @@ class SweepEngine:
         self.cache = cache if cache is not None else ResultCache()
         self.use_cache = (use_cache if use_cache is not None
                           else cache_enabled_by_default())
-        self.memo = memo if memo is not None else {}
+        self.memo: Dict[str, SimResult] = {}
         self.job_timeout = (job_timeout if job_timeout is not None
                             else default_job_timeout())
         if self.job_timeout is not None and self.job_timeout <= 0:
@@ -262,9 +241,22 @@ class SweepEngine:
 
     @staticmethod
     def _preload(jobs: List[Tuple[str, ProcessorConfig]]) -> None:
-        """Capture traces + oracle pair sets before the pool forks
-        (see :func:`preload_traces`)."""
-        preload_traces((name, config, None) for name, config in jobs)
+        """Capture every distinct workload trace exactly once, and
+        pre-extract the oracle pair sets fusion-consuming jobs will
+        need, before the pool forks.
+
+        ``fork`` workers then inherit the loaded traces and pair sets
+        via copy-on-write and replay instead of re-interpreting, while
+        ``spawn`` workers reload the same traces from the persistent
+        store.  Repeats are free: the workload memo and the per-trace
+        pair memo both deduplicate.
+        """
+        for name, config in jobs:
+            trace = build_workload(name)
+            if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
+                cached_oracle_pairs(
+                    trace, granularity=config.cache_access_granularity,
+                    max_distance=config.max_fusion_distance)
 
     def _execute(self, jobs: List[Tuple[str, ProcessorConfig]]
                  ) -> List[Tuple[bool, object]]:
@@ -358,18 +350,6 @@ class SweepEngine:
         return result
 
     # --------------------------------------------------------------- sweeps --
-
-    def result(self, workload: str, mode: FusionMode,
-               config: Optional[ProcessorConfig] = None) -> SimResult:
-        """One (workload, mode) simulation through the cache stack."""
-        base = config or ProcessorConfig()
-        full = base.with_mode(mode)
-        hit = self._lookup(workload, full)
-        if hit is not None:
-            return hit
-        result = _execute_job((workload, full))
-        self._store(workload, full, result)
-        return result
 
     def sweep(self,
               modes: Iterable[FusionMode],

@@ -574,7 +574,6 @@ def run_jobs(jobs: Sequence[object], worker: WorkerFn,
              retries: Optional[int] = None,
              backoff_base: Optional[float] = None,
              mp_context=None,
-             force_pool: bool = False,
              ) -> Tuple[List[Tuple[bool, object]], SweepReport]:
     """Run every job fault-tolerantly; returns (outcomes, report).
 
@@ -586,14 +585,8 @@ def run_jobs(jobs: Sequence[object], worker: WorkerFn,
     failed the pool :data:`POOL_FAILURES_BEFORE_DEGRADE` times runs
     its remaining attempts serially in this process.  With
     ``workers <= 1`` everything runs serially here (no deadline — a
-    process cannot kill itself mid-job) with the same retry policy.
-
-    A single-job batch normally also runs serially (a pool buys it
-    nothing); ``force_pool=True`` sends it through a worker process
-    anyway when ``workers > 1``.  Long-running callers (the simulation
-    service) use this so *every* execution is isolated in a killable
-    worker — a deadline, a crash, or an injected fault then degrades
-    one request instead of the resident process.
+    process cannot kill itself mid-job) with the same retry policy; so
+    does a single-job batch, which a pool buys nothing.
     """
     if len(jobs) != len(labels):
         raise ValueError("jobs and labels length mismatch")
@@ -606,8 +599,7 @@ def run_jobs(jobs: Sequence[object], worker: WorkerFn,
                          timeout_s=timeout, retries=retries)
     outcomes: List[Optional[Tuple[bool, object]]] = [None] * len(jobs)
 
-    use_pool = workers > 1 and len(jobs) >= 1 \
-        and (len(jobs) > 1 or force_pool)
+    use_pool = workers > 1 and len(jobs) > 1
 
     # Validate the injection spec up front (and refuse unbounded hangs)
     # even on the serial path: a malformed REPRO_FAULT_INJECT must fail

@@ -3,17 +3,24 @@
 Each ``figureN`` function returns an :class:`ExperimentResult` whose
 rows mirror the series plotted in the paper; ``render()`` prints them
 as an ASCII table with the aggregate row the paper quotes in its text.
+
+Census figures read the oracle census of each captured trace.
+Simulation-backed ones take their cells from one
+:meth:`~repro.experiments.engine.SweepEngine.sweep` call over the modes
+:data:`SWEEP_MODES` lists for them, on the ``engine`` passed in (a
+default :class:`~repro.experiments.engine.SweepEngine` when ``None``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import FusionMode, ProcessorConfig
+from repro.core.results import SimResult
+from repro.experiments.engine import SweepEngine
 from repro.fusion.oracle import analyze_trace
 from repro.fusion.taxonomy import Contiguity
-from repro.experiments.runner import get_result
 from repro.stats import amean, ascii_table, geomean
 from repro.workloads import build_workload, workload_names
 
@@ -48,6 +55,37 @@ class ExperimentResult:
 
 def _names(workloads: Optional[Sequence[str]]) -> List[str]:
     return list(workloads) if workloads is not None else workload_names()
+
+
+_CPI_MODES = (FusionMode.NONE, FusionMode.HELIOS)
+
+_FIG10_MODES = (FusionMode.RISCV, FusionMode.CSF_SBR, FusionMode.RISCV_PP,
+                FusionMode.HELIOS, FusionMode.ORACLE)
+
+#: The fusion modes each simulation-backed experiment sweeps, keyed by
+#: its function name.  Census experiments simulate nothing.
+SWEEP_MODES = {
+    "figure3": (FusionMode.NONE, FusionMode.CSF_SBR, FusionMode.RISCV_PP),
+    "figure8": (FusionMode.HELIOS, FusionMode.ORACLE),
+    "figure9": (FusionMode.NONE, FusionMode.HELIOS, FusionMode.ORACLE),
+    "figure10": (FusionMode.NONE,) + _FIG10_MODES,
+    "cpi_accounting": _CPI_MODES,
+    "table3": (FusionMode.HELIOS,),
+}
+
+
+def _sweep(experiment: str, workloads: Optional[Sequence[str]],
+           config: Optional[ProcessorConfig],
+           engine: Optional[SweepEngine],
+           ) -> Dict[str, Dict[FusionMode, SimResult]]:
+    """The cells ``experiment`` renders: one ``engine.sweep`` over its
+    :data:`SWEEP_MODES`, as ``cells[workload][mode]``."""
+    engine = engine if engine is not None else SweepEngine()
+    results = engine.sweep(SWEEP_MODES[experiment], workloads=workloads,
+                           config=config)
+    return {name: {FusionMode(mode): result
+                   for mode, result in by_mode.items()}
+            for name, by_mode in results.items()}
 
 
 def _census(name: str, config: Optional[ProcessorConfig]):
@@ -88,17 +126,19 @@ def figure2(workloads: Optional[Sequence[str]] = None,
 # ---------------------------------------------------------------- Figure 3 --
 
 def figure3(workloads: Optional[Sequence[str]] = None,
-            config: Optional[ProcessorConfig] = None) -> ExperimentResult:
+            config: Optional[ProcessorConfig] = None,
+            engine: Optional[SweepEngine] = None) -> ExperimentResult:
     """IPC of memory-only vs all-idiom consecutive fusion vs no fusion.
 
     Paper: the two differ by about one percentage point on average;
     only susan degrades visibly with memory-only fusion.
     """
+    cells = _sweep("figure3", workloads, config, engine)
     rows = []
     for name in _names(workloads):
-        base = get_result(name, FusionMode.NONE, config).ipc
-        memory_only = get_result(name, FusionMode.CSF_SBR, config).ipc
-        all_idioms = get_result(name, FusionMode.RISCV_PP, config).ipc
+        base = cells[name][FusionMode.NONE].ipc
+        memory_only = cells[name][FusionMode.CSF_SBR].ipc
+        all_idioms = cells[name][FusionMode.RISCV_PP].ipc
         rows.append([name, memory_only / base, all_idioms / base])
     summary = ["geomean", geomean(r[1] for r in rows),
                geomean(r[2] for r in rows)]
@@ -174,16 +214,18 @@ def figure5(workloads: Optional[Sequence[str]] = None,
 # ---------------------------------------------------------------- Figure 8 --
 
 def figure8(workloads: Optional[Sequence[str]] = None,
-            config: Optional[ProcessorConfig] = None) -> ExperimentResult:
+            config: Optional[ProcessorConfig] = None,
+            engine: Optional[SweepEngine] = None) -> ExperimentResult:
     """CSF and NCSF fused pairs, Helios vs OracleFusion (% of memory ops).
 
     Paper: Helios delivers 6.7 % CSF + 5.5 % NCSF; Oracle 6.1 % CSF with
     a higher NCSF share (Helios's training favours CSF).
     """
+    cells = _sweep("figure8", workloads, config, engine)
     rows = []
     for name in _names(workloads):
-        helios = get_result(name, FusionMode.HELIOS, config)
-        oracle = get_result(name, FusionMode.ORACLE, config)
+        helios = cells[name][FusionMode.HELIOS]
+        oracle = cells[name][FusionMode.ORACLE]
         rows.append([
             name,
             helios.csf_pair_pct_of_memory, helios.ncsf_pair_pct_of_memory,
@@ -201,7 +243,8 @@ def figure8(workloads: Optional[Sequence[str]] = None,
 # ---------------------------------------------------------------- Figure 9 --
 
 def figure9(workloads: Optional[Sequence[str]] = None,
-            config: Optional[ProcessorConfig] = None) -> ExperimentResult:
+            config: Optional[ProcessorConfig] = None,
+            engine: Optional[SweepEngine] = None) -> ExperimentResult:
     """Rename and Dispatch structural stalls (% of execution cycles).
 
     The trailing columns add the top-down view: the share of commit
@@ -210,11 +253,12 @@ def figure9(workloads: Optional[Sequence[str]] = None,
     evidence the stall counters give, but guaranteed to account for
     every cycle (sum over all buckets == cycles * commit_width).
     """
+    cells = _sweep("figure9", workloads, config, engine)
     rows = []
     for name in _names(workloads):
-        base = get_result(name, FusionMode.NONE, config)
-        helios = get_result(name, FusionMode.HELIOS, config)
-        oracle = get_result(name, FusionMode.ORACLE, config)
+        base = cells[name][FusionMode.NONE]
+        helios = cells[name][FusionMode.HELIOS]
+        oracle = cells[name][FusionMode.ORACLE]
         rows.append([
             name,
             base.rename_stall_pct, base.dispatch_stall_pct,
@@ -236,11 +280,10 @@ def figure9(workloads: Optional[Sequence[str]] = None,
 
 # ------------------------------------------------- top-down CPI accounting --
 
-_CPI_MODES = (FusionMode.NONE, FusionMode.HELIOS)
-
-
 def cpi_accounting(workloads: Optional[Sequence[str]] = None,
-                   config: Optional[ProcessorConfig] = None) -> ExperimentResult:
+                   config: Optional[ProcessorConfig] = None,
+                   engine: Optional[SweepEngine] = None,
+                   ) -> ExperimentResult:
     """Top-down commit-slot shares per workload, baseline vs Helios.
 
     Not a paper figure — the observability companion to Figure 9: for
@@ -248,11 +291,12 @@ def cpi_accounting(workloads: Optional[Sequence[str]] = None,
     bucket group (base / frontend-bound / backend-bound /
     branch+fusion repair / drain), under NoFusion and Helios.
     """
+    cells = _sweep("cpi_accounting", workloads, config, engine)
     rows = []
     for name in _names(workloads):
         row = [name]
         for mode in _CPI_MODES:
-            result = get_result(name, mode, config)
+            result = cells[name][mode]
             row.extend([
                 result.topdown_share_pct("base"),
                 result.frontend_bound_pct,
@@ -278,21 +322,19 @@ def cpi_accounting(workloads: Optional[Sequence[str]] = None,
 
 # --------------------------------------------------------------- Figure 10 --
 
-_FIG10_MODES = (FusionMode.RISCV, FusionMode.CSF_SBR, FusionMode.RISCV_PP,
-                FusionMode.HELIOS, FusionMode.ORACLE)
-
-
 def figure10(workloads: Optional[Sequence[str]] = None,
-             config: Optional[ProcessorConfig] = None) -> ExperimentResult:
+             config: Optional[ProcessorConfig] = None,
+             engine: Optional[SweepEngine] = None) -> ExperimentResult:
     """IPC of every configuration normalized to the no-fusion baseline.
 
     Paper (geomean): RISCVFusion +0.8 %, CSF-SBR +6 %, RISCVFusion++
     +7 %, Helios +14.2 %, OracleFusion +16.3 %.
     """
+    cells = _sweep("figure10", workloads, config, engine)
     rows = []
     for name in _names(workloads):
-        base = get_result(name, FusionMode.NONE, config).ipc
-        rows.append([name] + [get_result(name, mode, config).ipc / base
+        base = cells[name][FusionMode.NONE].ipc
+        rows.append([name] + [cells[name][mode].ipc / base
                               for mode in _FIG10_MODES])
     summary = ["geomean"] + [geomean(r[i] for r in rows)
                              for i in range(1, len(_FIG10_MODES) + 1)]

@@ -7,8 +7,13 @@ from typing import Optional, Sequence
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.storage import helios_storage_budget
-from repro.experiments.figures import ExperimentResult, _census, _names
-from repro.experiments.runner import get_result
+from repro.experiments.engine import SweepEngine
+from repro.experiments.figures import (
+    ExperimentResult,
+    _census,
+    _names,
+    _sweep,
+)
 from repro.fusion.idioms import IDIOMS
 from repro.stats import amean
 
@@ -88,7 +93,8 @@ def table2(config: Optional[ProcessorConfig] = None) -> ExperimentResult:
 
 
 def table3(workloads: Optional[Sequence[str]] = None,
-           config: Optional[ProcessorConfig] = None) -> ExperimentResult:
+           config: Optional[ProcessorConfig] = None,
+           engine: Optional[SweepEngine] = None) -> ExperimentResult:
     """Table III: fusion predictor coverage, accuracy and MPKI.
 
     Coverage is only defined for workloads that *have* pairs needing a
@@ -96,11 +102,12 @@ def table3(workloads: Optional[Sequence[str]] = None,
     predictor actually fired on; others show "n/a" and are excluded
     from the respective average.
     """
+    cells = _sweep("table3", workloads, config, engine)
     rows = []
     coverages = []
     accuracies = []
     for name in _names(workloads):
-        result = get_result(name, FusionMode.HELIOS, config)
+        result = cells[name][FusionMode.HELIOS]
         if result.eligible_predictive_pairs:
             coverage = "%.2f" % result.fp_coverage_pct
             coverages.append(result.fp_coverage_pct)

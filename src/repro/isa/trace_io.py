@@ -333,165 +333,3 @@ def load_trace_binary(source: Union[str, bytes, BinaryIO]) -> Trace:
     except IndexError:
         raise TraceFormatError("µ-op references unknown static entry") from None
     return Trace(uops, name=name)
-
-
-def _read_payload(source: Union[str, bytes, BinaryIO]) -> bytes:
-    if isinstance(source, str):
-        with open(source, "rb") as handle:
-            return handle.read()
-    if isinstance(source, bytes):
-        return source
-    return source.read()
-
-
-def _parse_static_table(body, pos: int, num_insts: int) -> "tuple[list[Instruction], int]":
-    """Decode the interned static table at ``body[pos:]``."""
-    from repro.isa.instructions import MEM_SIZE
-    table: list[Instruction] = []
-    try:
-        for _ in range(num_insts):
-            mnem_len = body[pos]
-            pos += 1
-            mnemonic = sys.intern(
-                bytes(body[pos:pos + mnem_len]).decode("ascii"))
-            pos += mnem_len
-            rd, rs1, rs2, imm, target, pc = _INST_STRUCT.unpack_from(
-                body, pos)
-            pos += _INST_STRUCT.size
-            table.append(Instruction(
-                mnemonic=mnemonic,
-                rd=None if rd < 0 else rd,
-                rs1=None if rs1 < 0 else rs1,
-                rs2=None if rs2 < 0 else rs2,
-                imm=imm,
-                target=None if target < 0 else target,
-                opclass=opclass_for(mnemonic),
-                mem_size=MEM_SIZE.get(mnemonic, 0),
-                pc=pc))
-    except (IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise TraceFormatError("corrupt static table: %s" % exc) from exc
-    return table, pos
-
-
-def load_trace_binary_segment(source: Union[str, bytes, BinaryIO],
-                              start: int, count: int) -> Trace:
-    """Read µ-ops ``[start, start + count)`` of a binary trace.
-
-    The segment comes back *renumbered* — sequence numbers 0..count-1 —
-    because the pipeline core indexes its trace list by µ-op sequence
-    number (``_flush_from``), so a standalone segment must be
-    self-consistent.  The original window is recorded in the trace
-    name (``name[start:stop]``).
-
-    zlib streams have no random access, so the whole body is still
-    *decompressed* linearly (cheap, bytes only, incremental via
-    ``decompressobj`` with bounded buffering) — what this reader avoids
-    is materialising the per-µ-op ``MicroOp`` objects outside the
-    requested window, which dominate both time and memory for
-    multi-million-µop traces.  The body CRC and length are verified
-    over the full stream, exactly like :func:`load_trace_binary`.
-    """
-    if start < 0 or count < 0:
-        raise ValueError("segment start/count must be non-negative")
-    payload = _read_payload(source)
-    if len(payload) < _HEADER_STRUCT.size:
-        raise TraceFormatError("truncated binary trace header")
-    (magic, version, name_len, num_insts, num_uops,
-     body_len, body_crc) = _HEADER_STRUCT.unpack_from(payload)
-    if magic != TRACE_BINARY_MAGIC:
-        raise TraceFormatError("not a repro binary trace")
-    if version != TRACE_BINARY_VERSION:
-        raise TraceFormatError(
-            "unsupported binary trace version %d (this reader "
-            "understands version %d)" % (version, TRACE_BINARY_VERSION))
-    if start + count > num_uops:
-        raise ValueError(
-            "segment [%d:%d) out of range for a %d-µop trace"
-            % (start, start + count, num_uops))
-    offset = _HEADER_STRUCT.size
-    name = payload[offset:offset + name_len].decode("utf-8")
-
-    decomp = zlib.decompressobj()
-    comp = memoryview(payload)[offset + name_len:]
-    chunk_size = 1 << 20
-    chunks = (comp[i:i + chunk_size] for i in range(0, len(comp), chunk_size))
-    crc = 0
-    total = 0
-
-    def pull() -> Optional[bytes]:
-        """Next decompressed chunk (CRC/length updated), or None at EOF."""
-        nonlocal crc, total
-        for piece in chunks:
-            try:
-                data = decomp.decompress(bytes(piece))
-            except zlib.error as exc:
-                raise TraceFormatError("corrupt binary trace body: %s" % exc) from exc
-            if data:
-                crc = zlib.crc32(data, crc)
-                total += len(data)
-                return data
-        data = decomp.flush()
-        if data:
-            crc = zlib.crc32(data, crc)
-            total += len(data)
-            return data
-        return None
-
-    buf = bytearray()
-    base = 0  # absolute body offset of buf[0]
-
-    def ensure(upto: int) -> None:
-        """Grow ``buf`` until it covers body offset ``upto`` (or EOF)."""
-        while base + len(buf) < upto:
-            data = pull()
-            if data is None:
-                break
-            buf.extend(data)
-
-    # The static table is variable-width: buffer until it parses.
-    # 1 length byte + mnemonic (< 256) + fixed record, per entry.
-    ensure(num_insts * (1 + 255 + _INST_STRUCT.size))
-    table, pos = _parse_static_table(buf, 0, num_insts)
-
-    usize = _UOP_STRUCT.size
-    seg_start = pos + start * usize
-    seg_end = seg_start + count * usize
-
-    # Skip phase: discard whole chunks strictly before the segment.
-    del buf[:pos]
-    base = pos
-    while base + len(buf) <= seg_start:
-        base += len(buf)
-        buf.clear()
-        data = pull()
-        if data is None:
-            break
-        if base + len(data) <= seg_start:
-            base += len(data)
-        else:
-            buf.extend(data)
-    ensure(seg_end)
-    if base + len(buf) < seg_end:
-        raise TraceFormatError("binary trace body truncated inside segment")
-    records = bytes(buf[seg_start - base:seg_end - base])
-
-    # Drain the remainder so the CRC / length check covers the stream.
-    while pull() is not None:
-        pass
-    if not decomp.eof:
-        # decompressobj silently tolerates a truncated stream (unlike
-        # one-shot zlib.decompress); check explicitly.
-        raise TraceFormatError("corrupt binary trace body: truncated stream")
-    if total != body_len or crc != body_crc:
-        raise TraceFormatError("binary trace body failed CRC check")
-
-    uops: list[MicroOp] = []
-    append = uops.append
-    try:
-        for seq, (index, addr, target_pc, flags) in enumerate(
-                _UOP_STRUCT.iter_unpack(records)):
-            append(MicroOp(seq, table[index], addr=addr,
-                           taken=bool(flags & 1), target_pc=target_pc))
-    except IndexError:
-        raise TraceFormatError("µ-op references unknown static entry") from None
-    return Trace(uops, name="%s[%d:%d]" % (name, start, start + count))

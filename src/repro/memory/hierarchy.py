@@ -10,24 +10,9 @@ cores, Section II-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import ProcessorConfig
 from repro.memory.cache import Cache
 from repro.memory.tlb import TLB
-
-
-@dataclass
-class AccessResult:
-    """Latency and classification of one (possibly fused) access."""
-
-    # One instance per simulated data access: worth slotting.  Manual
-    # tuple instead of ``@dataclass(slots=True)`` for Python 3.9.
-    __slots__ = ("latency", "crossed_line", "level")
-
-    latency: int
-    crossed_line: bool
-    level: str  # "L1", "L2", "L3", "DRAM"
 
 
 class MemoryHierarchy:
@@ -44,85 +29,38 @@ class MemoryHierarchy:
         self.line_bytes = config.l1d.line_bytes
         self.line_crossings = 0
 
-    def _line_latency(self, addr: int):
-        """(latency, level) of one line probe — a tuple, not an
-        AccessResult: this runs once or twice per data access and the
-        dataclass construction is measurable there."""
+    def _line_latency(self, addr: int) -> int:
+        """Latency of one line probe through L1D, L2, L3 and DRAM."""
         if self.l1d.lookup(addr):
-            return self.l1d.latency, "L1"
+            return self.l1d.latency
         if self.l2.lookup(addr):
-            return self.l1d.latency + self.l2.latency, "L2"
+            return self.l1d.latency + self.l2.latency
         if self.l3.lookup(addr):
-            return (self.l1d.latency + self.l2.latency + self.l3.latency,
-                    "L3")
+            return self.l1d.latency + self.l2.latency + self.l3.latency
         return (self.l1d.latency + self.l2.latency + self.l3.latency
-                + self.dram_latency, "DRAM")
+                + self.dram_latency)
 
-    def access(self, addr: int, size: int) -> AccessResult:
-        """One load/store access of ``size`` bytes starting at ``addr``.
+    def access_latency(self, addr: int, size: int) -> int:
+        """Latency of one load/store access of ``size`` bytes at ``addr``.
 
         ``size`` may cover a fused pair's whole span.  Accesses that
         cross a line boundary perform two serialized line accesses plus
-        the crossing penalty.
+        the crossing penalty, and count in ``line_crossings``.  This is
+        the only access path: the sampling warmer calls it too and
+        discards the latency, so warmed and timed state evolve alike.
         """
         tlb_penalty = self.dtlb.access(addr)
         line_bytes = self.line_bytes
         first_line = addr // line_bytes
         last_line = (addr + max(size, 1) - 1) // line_bytes
-        latency, level = self._line_latency(addr)
+        latency = self._line_latency(addr)
         if last_line != first_line:
             self.line_crossings += 1
-            second_latency, second_level = self._line_latency(
-                last_line * line_bytes)
-            if second_latency > latency:
-                latency, level = second_latency, second_level
-            latency += self.config.line_crossing_penalty
-            return AccessResult(latency + tlb_penalty, True, level)
-        return AccessResult(latency + tlb_penalty, False, level)
-
-    def access_latency(self, addr: int, size: int) -> int:
-        """Latency of one access — :meth:`access` minus the result object.
-
-        The pipeline only ever consumes ``AccessResult.latency``, and it
-        performs one or two of these per memory µ-op, so the fast path
-        skips the dataclass construction.  Bookkeeping (TLB, recency,
-        line-crossing counters) is identical to :meth:`access`.
-        """
-        tlb_penalty = self.dtlb.access(addr)
-        line_bytes = self.line_bytes
-        first_line = addr // line_bytes
-        last_line = (addr + max(size, 1) - 1) // line_bytes
-        latency, _level = self._line_latency(addr)
-        if last_line != first_line:
-            self.line_crossings += 1
-            second_latency, _level = self._line_latency(
-                last_line * line_bytes)
+            second_latency = self._line_latency(last_line * line_bytes)
             if second_latency > latency:
                 latency = second_latency
             latency += self.config.line_crossing_penalty
         return latency + tlb_penalty
-
-    def warm_access(self, addr: int, size: int) -> None:
-        """State-only access for functional warming.
-
-        Performs exactly the same TLB access and cache lookup chain as
-        :meth:`access_latency` — so contents, recency, and the
-        line-crossing counter evolve bit-identically — but skips the
-        latency arithmetic the warmer would discard.
-        """
-        self.dtlb.access(addr)
-        line_bytes = self.line_bytes
-        first_line = addr // line_bytes
-        last_line = (addr + max(size, 1) - 1) // line_bytes
-        if not self.l1d.lookup(addr):
-            if not self.l2.lookup(addr):
-                self.l3.lookup(addr)
-        if last_line != first_line:
-            self.line_crossings += 1
-            second = last_line * line_bytes
-            if not self.l1d.lookup(second):
-                if not self.l2.lookup(second):
-                    self.l3.lookup(second)
 
     def fetch_line(self, pc: int) -> int:
         """Instruction fetch of the line containing ``pc``.
@@ -137,8 +75,3 @@ class MemoryHierarchy:
         if self.l3.lookup(pc):
             return self.l2.latency + self.l3.latency
         return self.l2.latency + self.l3.latency + self.dram_latency
-
-    def warm(self, addresses, size: int = 8) -> None:
-        """Pre-touch addresses (used by tests and warmup phases)."""
-        for addr in addresses:
-            self.access(addr, size)

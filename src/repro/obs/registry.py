@@ -79,13 +79,7 @@ class Histogram:
         return self.max
 
     def summary(self) -> Dict[str, float]:
-        """JSON-safe digest: count/mean/max plus p50/p90/p99.
-
-        The percentile trio is what latency-shaped histograms (the
-        simulation service's queue/execution timings) report from
-        ``status`` requests and metrics dumps; occupancy histograms
-        get the same digest for free.
-        """
+        """JSON-safe digest: count/mean/max plus p50/p90/p99."""
         return {
             "count": self.count,
             "mean": self.mean,

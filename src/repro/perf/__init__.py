@@ -16,7 +16,6 @@ from repro.perf.harness import (
     compare_with_previous,
     load_bench,
     measure_sampled,
-    measure_serving,
     run_bench,
     write_bench,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "dump_pstats",
     "load_bench",
     "measure_sampled",
-    "measure_serving",
     "profile_run",
     "render_profile",
     "run_bench",

@@ -37,11 +37,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.fusion.oracle import (
-    oracle_memory_pairs,
-    oracle_memory_pairs_reference,
-    predictive_pairs_from,
-)
+from repro.fusion.oracle import oracle_memory_pairs, predictive_pairs_from
 from repro.isa.interp import run_program
 from repro.pipeline.core import PipelineCore
 from repro.workloads import (
@@ -288,121 +284,11 @@ def measure_sampled(quick: bool = False,
     }
 
 
-#: Duplicate-request ratios the serving benchmark sweeps.  The spread
-#: is the headline: at 0 % every request must execute, at 90 % nine in
-#: ten are served from the LRU tier or coalesced onto an in-flight
-#: execution, so served-request throughput should scale by roughly the
-#: execution-cost / cache-hit-cost ratio.
-SERVING_BENCH_RATIOS = (0.0, 0.5, 0.9)
-SERVING_QUICK_REQUESTS = 60
-SERVING_FULL_REQUESTS = 150
-SERVING_BENCH_SEED = 1234
-SERVING_BENCH_WORKERS = 4
-#: Capture lengths for the benchmark's requests: long enough that the
-#: simulation dominates per-batch serving overhead (thread dispatch,
-#:  trace preload), so the duplicate-ratio sweep measures how well the
-#: server avoids *simulations*, not how cheap its bookkeeping is.
-SERVING_BENCH_HOT_UOPS = 8000
-SERVING_BENCH_UNIQUE_UOPS = 6000
-SERVING_BENCH_HOT_KEYS = 4
-
-
-def _serving_spec(count: int, ratio: float):
-    from repro.serve.loadgen import LoadSpec
-
-    return LoadSpec(requests=count, duplicate_ratio=ratio,
-                    workers=SERVING_BENCH_WORKERS,
-                    seed=SERVING_BENCH_SEED,
-                    hot_keys=SERVING_BENCH_HOT_KEYS,
-                    hot_max_uops=SERVING_BENCH_HOT_UOPS,
-                    unique_base_uops=SERVING_BENCH_UNIQUE_UOPS)
-
-
-def _warm_serving_traces(count: int) -> int:
-    """Pre-capture every trace the serving schedules will request.
-
-    The serving benchmark measures the *serving layer* — coalescing,
-    cache tiers, admission, scheduler dispatch — with the simulation
-    cost as its denominator.  Trace capture is front-end cost the
-    sweep system already amortizes through the persistent trace
-    store, so it is warmed outside the timed region; otherwise the
-    first ratio measured pays every cold capture and the comparison
-    depends on run order and prior store contents.
-    """
-    from repro.serve.loadgen import build_schedule
-    from repro.workloads import build_workload
-
-    wanted = set()
-    for ratio in SERVING_BENCH_RATIOS:
-        for request in build_schedule(_serving_spec(count, ratio)):
-            wanted.add((request.workload, request.max_uops))
-    for name, max_uops in sorted(wanted):
-        build_workload(name, max_uops=max_uops)
-    return len(wanted)
-
-
-def measure_serving(quick: bool = False,
-                    requests: Optional[int] = None) -> Dict:
-    """Benchmark the simulation service under duplicate-heavy load.
-
-    For each ratio in :data:`SERVING_BENCH_RATIOS`: start a *fresh*
-    in-process server (cold LRU, disk cache off, serial execution —
-    the serving machinery is under test, not the process pool), drive
-    one deterministic closed-loop load run against it, and record
-    served-request throughput plus latency percentiles.  Unique
-    requests force distinct coalescing keys (per-request capture
-    lengths), so the 0 %-duplicate row is an honest every-request-
-    executes baseline.  Traces are pre-captured for every scheduled
-    request (see :func:`_warm_serving_traces`), so each row measures
-    serving + simulation, independent of run order.
-    """
-    from repro.serve.loadgen import run_load
-    from repro.serve.server import BackgroundServer
-
-    count = requests if requests is not None else (
-        SERVING_QUICK_REQUESTS if quick else SERVING_FULL_REQUESTS)
-    distinct = _warm_serving_traces(count)
-    rows: Dict[str, Dict] = {}
-    for ratio in SERVING_BENCH_RATIOS:
-        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-            sock = os.path.join(tmp, "serve.sock")
-            with BackgroundServer(path=sock, pool_jobs=1,
-                                  use_disk_cache=False):
-                report = run_load(_serving_spec(count, ratio),
-                                  path=sock)
-        key = "%d" % round(ratio * 100)
-        rows[key] = {
-            "duplicate_ratio": ratio,
-            "requests": report.requests,
-            "ok": report.ok,
-            "errors": dict(report.errors),
-            "executions": report.executions,
-            "tiers": dict(report.tiers),
-            "throughput_rps": round(report.throughput_rps, 2),
-            "latency_ms": report.latency_ms,
-        }
-    base = rows.get("0", {}).get("throughput_rps") or 0.0
-    top = rows.get("90", {}).get("throughput_rps") or 0.0
-    return {
-        "requests": count,
-        "workers": SERVING_BENCH_WORKERS,
-        "seed": SERVING_BENCH_SEED,
-        "distinct_traces": distinct,
-        "ratios": rows,
-        #: Headline: served-request throughput at 90 % duplicates over
-        #: the all-unique baseline — what coalescing + the LRU tier buy.
-        "speedup_90_vs_0": round(top / base, 2) if base > 0 else None,
-        "all_served": all(row["ok"] == row["requests"]
-                          for row in rows.values()),
-    }
-
-
 def run_bench(workloads: Optional[List[str]] = None,
               quick: bool = False,
               max_uops: Optional[int] = None,
               config: Optional[ProcessorConfig] = None,
-              sample: bool = False,
-              serve: bool = False) -> Dict:
+              sample: bool = False) -> Dict:
     """Run the harness; returns the ``BENCH_pipeline.json`` payload."""
     names = (ensure_known(list(workloads)) if workloads is not None
              else bench_workloads(quick=quick))
@@ -416,7 +302,6 @@ def run_bench(workloads: Optional[List[str]] = None,
         "store_save_s": 0.0,
         "store_load_s": 0.0,
         "oracle_pairs_s": 0.0,
-        "oracle_pairs_reference_s": 0.0,
         "pipeline_run_s": {mode.value: 0.0 for mode in modes},
     }
     obs_name = (OBS_OVERHEAD_WORKLOAD if OBS_OVERHEAD_WORKLOAD in names
@@ -439,13 +324,6 @@ def run_bench(workloads: Optional[List[str]] = None,
             pairs, pairs_s = _timed(lambda: oracle_memory_pairs(
                 trace, granularity=base.cache_access_granularity,
                 max_distance=base.max_fusion_distance))
-            # Reference formulation of the same scan: the gap between
-            # the two timings is the taint-bookkeeping optimization's
-            # claimed win (the pair sets are asserted byte-identical by
-            # the tier-1 suite, not here).
-            _, pairs_ref_s = _timed(lambda: oracle_memory_pairs_reference(
-                trace, granularity=base.cache_access_granularity,
-                max_distance=base.max_fusion_distance))
             predictive = predictive_pairs_from(pairs)
 
             row: Dict = {
@@ -454,7 +332,6 @@ def run_bench(workloads: Optional[List[str]] = None,
                 "store_save_s": round(save_s, 4),
                 "store_load_s": round(load_s, 4),
                 "oracle_pairs_s": round(pairs_s, 4),
-                "oracle_pairs_reference_s": round(pairs_ref_s, 4),
                 "oracle_pairs": len(pairs),
                 "predictive_pairs": len(predictive),
                 "modes": {},
@@ -463,7 +340,6 @@ def run_bench(workloads: Optional[List[str]] = None,
             totals["store_save_s"] += save_s
             totals["store_load_s"] += load_s
             totals["oracle_pairs_s"] += pairs_s
-            totals["oracle_pairs_reference_s"] += pairs_ref_s
 
             for mode in modes:
                 full = base.with_mode(mode)
@@ -495,7 +371,6 @@ def run_bench(workloads: Optional[List[str]] = None,
     replay_total = totals["store_load_s"]
     throughput = _throughput(per_workload, modes)
     sampled = measure_sampled(quick=quick, config=base) if sample else None
-    serving = measure_serving(quick=quick) if serve else None
     payload = {
         "schema": 1,
         "generated_by": "repro bench",
@@ -526,10 +401,6 @@ def run_bench(workloads: Optional[List[str]] = None,
         #: observed IPC error on iteration-scaled traces; None when the
         #: sampled benchmark was not requested.
         "sampled": sampled,
-        #: Serving section (``--serve``): served-request throughput and
-        #: latency percentiles at each duplicate ratio; None when the
-        #: serving benchmark was not requested.
-        "serving": serving,
     }
     return payload
 

@@ -1282,7 +1282,7 @@ class PipelineCore:
             producers = uop.producers
             extra_producers = uop.extra_producers
             if producers or extra_producers:
-                # ready_at() + first_unissued_producer(), fused into one
+                # Operand readiness and the producer to park on, in one
                 # scan: the first not-yet-issued producer is the one to
                 # park on, and it surfaces during the readiness walk.
                 ready = 0

@@ -207,35 +207,6 @@ class PipeUop:
             return self.tail_complete_c
         return self.complete_c
 
-    def ready_at(self) -> Optional[int]:
-        """Cycle at which all source operands are available.
-
-        ``None`` while any producer has not completed execution; the
-        caller may then park on :meth:`first_unissued_producer`'s wait
-        list to be woken exactly when it issues.
-
-        ``producers`` / ``extra_producers`` hold ``(producer, reg)``
-        pairs so that split-completion fused pairs resolve per register.
-        """
-        latest = 0
-        for producer, reg in self.producers:
-            completion = producer.complete_c
-            if completion is None:
-                return None
-            if producer.tail_complete_c is not None                     and reg == producer.tail_dest_reg:
-                completion = producer.tail_complete_c
-            if completion > latest:
-                latest = completion
-        for producer, reg in self.extra_producers:
-            completion = producer.complete_c
-            if completion is None:
-                return None
-            if producer.tail_complete_c is not None                     and reg == producer.tail_dest_reg:
-                completion = producer.tail_complete_c
-            if completion > latest:
-                latest = completion
-        return latest
-
     def late_ready_at(self) -> Optional[int]:
         """Cycle at which the tail store data is captured (None: not yet)."""
         latest = 0
@@ -246,15 +217,6 @@ class PipeUop:
             if completion > latest:
                 latest = completion
         return latest
-
-    def first_unissued_producer(self) -> Optional["PipeUop"]:
-        for producer, _reg in self.producers:
-            if producer.complete_c is None:
-                return producer
-        for producer, _reg in self.extra_producers:
-            if producer.complete_c is None:
-                return producer
-        return None
 
     def park(self, consumer: "PipeUop") -> None:
         consumer.parked = True

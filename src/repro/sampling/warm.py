@@ -86,7 +86,7 @@ class FunctionalWarmer:
     def warm(self, uops: Sequence[MicroOp]) -> None:
         """Functionally execute one µ-op range (no cycles consumed)."""
         memory = self.memory
-        access = memory.warm_access
+        access = memory.access_latency
         fetch_line = memory.fetch_line
         bp_update = self.branch_pred.update
         uch_loads = self.uch_loads

@@ -47,7 +47,6 @@ from repro.isa.trace_io import (
     TRACE_BINARY_VERSION,
     TraceFormatError,
     load_trace_binary,
-    load_trace_binary_segment,
     save_trace_binary,
 )
 from repro.workloads.catalog import CATALOG
@@ -141,32 +140,6 @@ class TraceStore:
         except OSError:
             # Environmental read failure: miss without condemning the
             # entry — it may be perfectly valid.
-            return None
-
-    def get_segment(self, name: str, max_uops: int, start: int,
-                    count: int,
-                    salt: Optional[str] = None) -> Optional[Trace]:
-        """µ-ops ``[start, start + count)`` of a stored trace, as a
-        standalone renumbered :class:`Trace` — or ``None`` on miss.
-
-        This is the segment-parallel workers' read path: each worker
-        materialises only its own window (plus warmup/drain slack)
-        instead of the full multi-million-µop trace (see
-        :func:`repro.isa.trace_io.load_trace_binary_segment`).  Corrupt
-        files are quarantined, like :meth:`get`; an out-of-range window
-        on a *valid* file is the caller's planning bug and raises.
-        """
-        path = self.path_for(name, max_uops,
-                             salt if salt is not None else workload_salt(name))
-        seen = fsutil.stat_or_none(path)
-        try:
-            return load_trace_binary_segment(str(path), start, count)
-        except FileNotFoundError:
-            return None
-        except TraceFormatError:
-            fsutil.quarantine_if_unchanged(path, seen)
-            return None
-        except OSError:
             return None
 
     def put(self, name: str, max_uops: int, trace: Trace,

@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
 from repro.cli import main
-from repro.experiments import clear_cache
+from repro.config import FusionMode
 from repro.experiments.faults import (
     AttemptRecord,
     JobRecord,
@@ -96,7 +97,6 @@ def test_experiment_fp_kind_inapplicable():
 
 
 def test_experiment_parallel_jobs_with_cache(capsys, tmp_path):
-    clear_cache()  # cold in-process memo: force the disk path
     argv = ["experiment", "fig3", "--workloads", "bitcount",
             "--jobs", "2", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -108,7 +108,6 @@ def test_experiment_parallel_jobs_with_cache(capsys, tmp_path):
 
 
 def test_cache_subcommand_info_and_clear(capsys, tmp_path):
-    clear_cache()  # cold in-process memo: force the disk path
     assert main(["experiment", "fig3", "--workloads", "bitcount",
                  "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -222,7 +221,6 @@ def test_simulate_sample_and_segments_conflict():
 # ---- fault tolerance surface -------------------------------------------------
 
 def test_experiment_writes_report_json(capsys, tmp_path):
-    clear_cache()  # cold in-process memo: force actual execution
     report_file = tmp_path / "sweep.json"
     assert main(["experiment", "cpi", "--workloads", "crc32",
                  "--cache-dir", str(tmp_path / "cache"),
@@ -236,6 +234,82 @@ def test_experiment_writes_report_json(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "sweep report: 2 job(s)" in out
     assert "crc32" in out and "ok" in out
+
+
+def test_report_json_is_this_commands_report(tmp_path):
+    # Regression: --report-json used to write whatever report an
+    # earlier sweep in the same process left behind.  A command whose
+    # cells are all cache hits ran no job and writes no report.
+    cache = str(tmp_path / "cache")
+    report_file = tmp_path / "sweep.json"
+    for argv in (["fig3", "--workloads", "dijkstra"],
+                 ["fig8", "--workloads", "bitcount"],
+                 ["fig3", "--workloads", "dijkstra",
+                  "--report-json", str(report_file)]):
+        assert main(["experiment", *argv, "--cache-dir", cache]) == 0
+    assert not report_file.exists()
+    # A command that did simulate writes only its own jobs.
+    assert main(["experiment", "fig3", "--workloads", "dijkstra",
+                 "--cache-dir", str(tmp_path / "fresh"),
+                 "--report-json", str(report_file)]) == 0
+    payload = json.loads(report_file.read_text())
+    assert sorted((job["workload"], job["mode"])
+                  for job in payload["jobs"]) == [
+        ("dijkstra", "CSF-SBR"), ("dijkstra", "NoFusion"),
+        ("dijkstra", "RISCVFusion++")]
+
+
+def test_failed_sweep_writes_its_report(capsys, tmp_path, monkeypatch):
+    import repro.experiments.engine as engine_mod
+
+    real = engine_mod._execute_job
+
+    def failing_helios(job):
+        if job[1].fusion_mode is FusionMode.HELIOS:
+            raise RuntimeError("injected Helios failure")
+        return real(job)
+
+    monkeypatch.setattr(engine_mod, "_execute_job", failing_helios)
+    report_file = tmp_path / "sweep.json"
+    assert main(["experiment", "cpi", "--workloads", "crc32",
+                 "--cache-dir", str(tmp_path / "cache"), "--retries", "0",
+                 "--report-json", str(report_file)]) == 1
+    assert "sweep failed" in capsys.readouterr().err
+    payload = json.loads(report_file.read_text())
+    assert payload["summary"]["jobs"] == 2
+    assert payload["summary"]["failed"] == 1
+
+
+def test_experiments_simulate_each_cell_once(tmp_path, monkeypatch):
+    # The one-path contract: a cold fig10 calls the job function once
+    # per (workload, mode); a later fig3 over the same workloads is
+    # served entirely from the stores.
+    from repro.core import simulator
+
+    real = simulator.simulate
+    calls = []
+
+    def counting(trace, config=None, name=None, **kwargs):
+        calls.append((name, config.fusion_mode))
+        return real(trace, config, name=name, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    cache = str(tmp_path / "cache")
+    workloads = ["bitcount", "crc32"]
+    assert main(["experiment", "fig10", "--workloads", ",".join(workloads),
+                 "--jobs", "1", "--cache-dir", cache]) == 0
+    assert sorted(calls, key=str) == sorted(
+        ((name, mode) for name in workloads for mode in FusionMode),
+        key=str)
+    calls.clear()
+    assert main(["experiment", "fig3", "--workloads", ",".join(workloads),
+                 "--jobs", "1", "--cache-dir", cache]) == 0
+    assert calls == []
 
 
 def test_sweep_report_flags_failed_jobs(capsys, tmp_path):

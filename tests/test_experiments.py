@@ -1,9 +1,10 @@
-"""Tests for the experiment harness (figures, tables, runner, stats)."""
+"""Tests for the experiment harness (figures, tables, sweeps, stats)."""
 
 import pytest
 
 from repro.config import FusionMode
 from repro.experiments import (
+    SweepEngine,
     figure2,
     figure3,
     figure4,
@@ -11,13 +12,10 @@ from repro.experiments import (
     figure8,
     figure9,
     figure10,
-    get_result,
-    run_suite,
     table1,
     table2,
     table3,
 )
-from repro.experiments.runner import clear_cache
 from repro.stats import amean, ascii_bar_chart, ascii_table, geomean, normalize, percent
 
 # Small, fast subset covering the main behaviours.
@@ -57,55 +55,29 @@ def test_ascii_bar_chart():
     assert "##########" in text  # the max value fills the width
 
 
-# ---- runner ------------------------------------------------------------------
+# ---- sweeps ------------------------------------------------------------------
 
-def test_runner_caches_default_config():
-    clear_cache()
-    first = get_result("bitcount", FusionMode.NONE)
-    second = get_result("bitcount", FusionMode.NONE)
-    assert first is second
+def test_engine_memo_serves_repeat_sweeps():
+    engine = SweepEngine(jobs=1, use_cache=False)
+    first = engine.sweep([FusionMode.NONE], workloads=["bitcount"])
+    second = engine.sweep([FusionMode.NONE], workloads=["bitcount"])
+    assert first["bitcount"]["NoFusion"] is second["bitcount"]["NoFusion"]
 
 
-def test_run_suite_shape():
-    results = run_suite([FusionMode.NONE], workloads=["bitcount"])
+def test_sweep_shape():
+    results = SweepEngine().sweep([FusionMode.NONE], workloads=["bitcount"])
     assert set(results) == {"bitcount"}
     assert set(results["bitcount"]) == {"NoFusion"}
 
 
-def test_interleaved_sweeps_keep_their_own_reports():
-    # Regression: last_sweep_report() is a module global that any
-    # sweep overwrites, so two sweeps interleaved in one process (the
-    # simulation service, threaded embedders) used to have no safe way
-    # to read their own execution report.  run_suite_with_report
-    # threads the report through the return value instead — run two
-    # sweeps concurrently and check neither sees the other's jobs.
-    import threading
-
-    from repro.experiments import run_suite_with_report
-
-    clear_cache()  # a memo hit would mean no scheduler run, no report
-    plans = {"a": ["bitcount"], "b": ["dijkstra"]}
-    reports = {}
-    barrier = threading.Barrier(len(plans))
-
-    def sweep(tag):
-        barrier.wait()  # maximize overlap between the two sweeps
-        results, report = run_suite_with_report(
-            [FusionMode.NONE], workloads=plans[tag], use_cache=False)
-        reports[tag] = (set(results), report)
-
-    threads = [threading.Thread(target=sweep, args=(tag,))
-               for tag in plans]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    for tag, workloads in plans.items():
-        seen, report = reports[tag]
-        assert seen == set(workloads)
-        assert report is not None
-        assert [job.workload for job in report.jobs] == workloads
+def test_figures_take_cells_from_the_engine_they_are_given():
+    engine = SweepEngine(jobs=1, use_cache=False)
+    figure8(["bitcount"], engine=engine)
+    assert len(engine.memo) == 2  # Helios + OracleFusion, nothing else
+    # table3 sweeps only Helios, already in this engine's memo: no job.
+    engine.last_report = None
+    table3(["bitcount"], engine=engine)
+    assert engine.last_report is None
 
 
 # ---- figures (structure on a small subset) -----------------------------------

@@ -339,10 +339,10 @@ _DRILL_WORKLOADS = ["bitcount", "crc32"]
 ])
 def test_sweep_under_injection_matches_fault_free_serial(
         monkeypatch, spec, expected_class):
-    expect = SweepEngine(jobs=1, use_cache=False, memo={}).sweep(
+    expect = SweepEngine(jobs=1, use_cache=False).sweep(
         [FusionMode.NONE], _DRILL_WORKLOADS)
     monkeypatch.setenv(FAULT_INJECT_ENV, spec)
-    engine = SweepEngine(jobs=2, use_cache=False, memo={}, retries=2,
+    engine = SweepEngine(jobs=2, use_cache=False, retries=2,
                          backoff_base=0.0)
     injected = engine.sweep([FusionMode.NONE], _DRILL_WORKLOADS)
     for name in _DRILL_WORKLOADS:
@@ -358,10 +358,10 @@ def test_sweep_under_injection_matches_fault_free_serial(
 
 
 def test_segmented_under_injection_matches_fault_free_serial(monkeypatch):
-    expect = SweepEngine(jobs=1, use_cache=False, memo={}).segmented(
+    expect = SweepEngine(jobs=1, use_cache=False).segmented(
         "dijkstra", FusionMode.HELIOS, 2)
     monkeypatch.setenv(FAULT_INJECT_ENV, "exit:1.0")
-    engine = SweepEngine(jobs=2, use_cache=False, memo={}, retries=2,
+    engine = SweepEngine(jobs=2, use_cache=False, retries=2,
                          backoff_base=0.0)
     got = engine.segmented("dijkstra", FusionMode.HELIOS, 2)
     assert got.to_dict() == expect.to_dict()
@@ -375,7 +375,7 @@ def test_sweep_job_error_carries_report_and_traceback(monkeypatch):
         raise RuntimeError("boom in the worker")
 
     monkeypatch.setattr(engine_mod, "_execute_job", exploding)
-    engine = SweepEngine(jobs=1, use_cache=False, memo={}, retries=0,
+    engine = SweepEngine(jobs=1, use_cache=False, retries=0,
                          backoff_base=0.0)
     with pytest.raises(SweepJobError) as excinfo:
         engine.sweep([FusionMode.NONE], ["bitcount"])

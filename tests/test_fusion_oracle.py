@@ -329,7 +329,7 @@ def test_window_greedy_no_overlap():
 # ---------------------------------------------- fast scan == reference --
 
 # The shipping oracle scan is a flattened, taint-bookkeeping
-# reformulation of ``oracle_memory_pairs_reference``; the contract is
+# reformulation of ``tests/oracle_reference.py``; the contract is
 # byte-identical output (pairs, in order, with identical census
 # accounting) for every catalog trace and every flag shape.
 
@@ -352,7 +352,7 @@ def _pair_key(p):
 
 
 def test_fast_oracle_matches_reference_all_catalog_workloads():
-    from repro.fusion.oracle import oracle_memory_pairs_reference
+    from tests.oracle_reference import oracle_memory_pairs_reference
     from repro.workloads import build_workload, workload_names
 
     for name in workload_names():
@@ -367,7 +367,7 @@ def test_fast_oracle_matches_reference_all_catalog_workloads():
 
 
 def test_fast_oracle_matches_reference_every_flag_shape():
-    from repro.fusion.oracle import oracle_memory_pairs_reference
+    from tests.oracle_reference import oracle_memory_pairs_reference
     from repro.workloads import build_workload
 
     for name in ("605.mcf", "657.xz_2", "rijndael"):

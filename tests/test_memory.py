@@ -88,41 +88,43 @@ def hierarchy():
 
 def test_hierarchy_latency_laddering():
     mem = hierarchy()
-    first = mem.access(0x10000, 8)
-    assert first.level == "DRAM"
-    again = mem.access(0x10000, 8)
-    assert again.level == "L1"
-    assert again.latency < first.latency
-    assert again.latency == mem.l1d.latency  # TLB now warm
+    l1, l2, l3 = mem.l1d.latency, mem.l2.latency, mem.l3.latency
+    # Cold: a page walk, then every level misses down to DRAM.
+    first = mem.access_latency(0x10000, 8)
+    assert first == mem.dtlb.miss_penalty + l1 + l2 + l3 + mem.dram_latency
+    # Same line again: an L1 hit with the TLB now warm.
+    assert mem.access_latency(0x10000, 8) == l1
+    # A new line in the same page misses the caches but not the TLB.
+    assert mem.access_latency(0x10040, 8) == l1 + l2 + l3 + mem.dram_latency
 
 
 def test_hierarchy_l2_hit_after_l1_eviction():
+    # Two-set direct-mapped L1D: lines 0, 2 and 4 share set 0.
     config = ProcessorConfig(l1d=CacheConfig(2 * 64, 1, 5))
     mem = MemoryHierarchy(config)
-    mem.access(0x0, 8)
-    mem.access(0x40 * 2, 8)  # same L1 set (2 sets? assoc 1) - force traffic
-    mem.access(0x40 * 4, 8)
-    result = mem.access(0x0, 8)
-    assert result.level in ("L2", "L1")
+    mem.access_latency(0x0, 8)
+    mem.access_latency(0x40 * 2, 8)   # evicts line 0 from the L1D
+    mem.access_latency(0x40 * 4, 8)
+    assert mem.access_latency(0x0, 8) == mem.l1d.latency + mem.l2.latency
 
 
 def test_line_crossing_accounted():
     mem = hierarchy()
-    mem.access(0x10000, 64)        # warm both lines? no - one line exactly
-    mem.access(0x10040, 8)         # warm second line
-    result = mem.access(0x1003C, 8)  # crosses 0x10040 boundary
-    assert result.crossed_line
+    mem.access_latency(0x10000, 64)   # exactly one line: no crossing
+    mem.access_latency(0x10040, 8)    # warm the second line
+    assert mem.line_crossings == 0
+    latency = mem.access_latency(0x1003C, 8)  # crosses 0x10040
     assert mem.line_crossings == 1
     # Both lines warm: latency = L1 + crossing penalty.
-    assert result.latency == mem.l1d.latency + mem.config.line_crossing_penalty
+    assert latency == mem.l1d.latency + mem.config.line_crossing_penalty
 
 
 def test_fused_span_single_line_one_access():
     mem = hierarchy()
-    mem.access(0x10000, 8)
-    result = mem.access(0x10000, 48)  # fused pair span inside one line
-    assert not result.crossed_line
-    assert result.latency == mem.l1d.latency
+    mem.access_latency(0x10000, 8)
+    # A fused pair's span inside one line costs one L1 access.
+    assert mem.access_latency(0x10000, 48) == mem.l1d.latency
+    assert mem.line_crossings == 0
 
 
 # ---- store-to-load forwarding --------------------------------------------------
@@ -218,6 +220,6 @@ def test_instruction_fetch_line():
     assert mem.fetch_line(0x10020) == 0    # same line
     # The L2 is unified: a line brought in on the data side serves a
     # later instruction fetch at L2 latency.
-    mem.access(0x10040, 8)
+    mem.access_latency(0x10040, 8)
     warmish = mem.fetch_line(0x10040)
     assert 0 < warmish < cold

@@ -13,18 +13,16 @@ Four contract groups:
   warmup splices to byte-identical whole-trace counters, serially and
   through the multiprocessing engine; bounded warmup stays within the
   documented tolerance.
-* **Segment plumbing** — interval/segment planning geometry, the
-  trace-store segment read path, and functional-warming state
-  equivalence.
+* **Segment plumbing** — interval/segment planning geometry and
+  trace segmentation.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.experiments import get_segmented_result
+from repro.experiments import SweepEngine
 from repro.fusion.oracle import oracle_memory_pairs
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import DRAIN_HORIZON, PipelineCore
 from repro.sampling import (
     build_scaled_workload,
@@ -33,7 +31,7 @@ from repro.sampling import (
     sampled_simulate,
     segmented_simulate,
 )
-from repro.workloads import TraceStore, build_workload
+from repro.workloads import build_workload
 
 
 def _helios():
@@ -268,20 +266,18 @@ def test_engine_parallel_segments_match_serial():
     config = _helios()
     trace = build_workload("dijkstra")
     straight = _straight_stats(trace, config)
-    result = get_segmented_result("dijkstra", FusionMode.HELIOS,
-                                  segments=4, jobs=2)
+    engine = SweepEngine(jobs=2)
+    result = engine.segmented("dijkstra", FusionMode.HELIOS, segments=4)
     assert result.stats.to_dict() == straight
-    # Second call hits the in-process memo (same object back).
-    again = get_segmented_result("dijkstra", FusionMode.HELIOS,
-                                 segments=4, jobs=2)
+    # Second call hits the engine's in-process memo (same object back).
+    again = engine.segmented("dijkstra", FusionMode.HELIOS, segments=4)
     assert again is result
 
 
 def test_engine_segmented_never_touches_disk_result_cache(tmp_path):
     from repro.experiments.cache import ResultCache
-    from repro.experiments.engine import SweepEngine
     cache = ResultCache(str(tmp_path))
-    engine = SweepEngine(jobs=1, cache=cache, use_cache=True, memo={})
+    engine = SweepEngine(jobs=1, cache=cache, use_cache=True)
     engine.segmented("dijkstra", FusionMode.NONE, segments=2,
                      warmup=2048)
     # Bounded-warmup splices are approximate; the persistent cache
@@ -289,34 +285,7 @@ def test_engine_segmented_never_touches_disk_result_cache(tmp_path):
     assert cache.entries() == []
 
 
-# ------------------------------------------------------ segment reads --
-
-
-def test_trace_store_segment_read_matches_slice(tmp_path):
-    trace = build_workload("dijkstra")
-    store = TraceStore(str(tmp_path))
-    store.put("seg-test", len(trace), trace, salt="s")
-    start, count = 5_000, 1_200
-    sub = store.get_segment("seg-test", len(trace), start, count,
-                            salt="s")
-    assert sub is not None and len(sub) == count
-    for local, mo in enumerate(sub.uops):
-        src = trace.uops[start + local]
-        assert mo.seq == local            # renumbered
-        assert mo.pc == src.pc
-        assert mo.addr == src.addr
-        assert mo.taken == src.taken
-        assert mo.opclass is src.opclass
-
-
-def test_trace_store_segment_out_of_range_raises(tmp_path):
-    trace = build_workload("dijkstra")
-    store = TraceStore(str(tmp_path))
-    store.put("seg-test", len(trace), trace, salt="s")
-    with pytest.raises(Exception):
-        store.get_segment("seg-test", len(trace), len(trace) + 10, 5,
-                          salt="s")
-    assert store.get_segment("missing", 123, 0, 5, salt="s") is None
+# ----------------------------------------------------------- segments --
 
 
 def test_trace_segment_renumbers_and_shares_instructions():
@@ -326,25 +295,3 @@ def test_trace_segment_renumbers_and_shares_instructions():
     assert [mo.seq for mo in sub.uops] == list(range(200))
     assert all(mo.inst is trace.uops[100 + i].inst
                for i, mo in enumerate(sub.uops))
-
-
-# ------------------------------------------------- functional warming --
-
-
-def test_warm_access_evolves_state_like_access_latency():
-    config = ProcessorConfig()
-    trace = build_workload("605.mcf")
-    stream = [(mo.addr, mo.size) for mo in trace.uops if mo.is_memory]
-    train, probe = stream[:4_000], stream[4_000:5_000]
-
-    timed, warmed = MemoryHierarchy(config), MemoryHierarchy(config)
-    for addr, size in train:
-        timed.access_latency(addr, size)
-        warmed.warm_access(addr, size)
-    assert warmed.line_crossings == timed.line_crossings
-
-    # Identical post-warm state ⇒ identical latencies on a held-out
-    # probe stream (hit/miss patterns depend on contents + recency).
-    for addr, size in probe:
-        assert warmed.access_latency(addr, size) \
-            == timed.access_latency(addr, size)

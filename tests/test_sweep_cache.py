@@ -20,7 +20,6 @@ from repro.experiments.cache import (
     cache_key,
 )
 from repro.experiments.engine import SweepEngine
-from repro.experiments.runner import get_result
 from repro.pipeline.core import CoreStats
 from repro.workloads import build_workload, ensure_known
 
@@ -254,9 +253,9 @@ SWEEP_WORKLOADS = ["bitcount", "dijkstra"]
 
 
 def test_parallel_sweep_identical_to_sequential(tmp_path):
-    sequential = SweepEngine(jobs=1, use_cache=False, memo={}).sweep(
+    sequential = SweepEngine(jobs=1, use_cache=False).sweep(
         SWEEP_MODES, SWEEP_WORKLOADS)
-    parallel = SweepEngine(jobs=2, use_cache=False, memo={}).sweep(
+    parallel = SweepEngine(jobs=2, use_cache=False).sweep(
         SWEEP_MODES, SWEEP_WORKLOADS)
     for name in SWEEP_WORKLOADS:
         for mode in SWEEP_MODES:
@@ -267,10 +266,10 @@ def test_parallel_sweep_identical_to_sequential(tmp_path):
 
 def test_sweep_served_from_disk_across_engines(tmp_path):
     cache = ResultCache(tmp_path)
-    first = SweepEngine(jobs=1, cache=cache, use_cache=True, memo={})
+    first = SweepEngine(jobs=1, cache=cache, use_cache=True)
     warm = first.sweep(SWEEP_MODES, SWEEP_WORKLOADS)
     # A fresh engine (fresh memo, same directory) must not simulate.
-    second = SweepEngine(jobs=1, cache=cache, use_cache=True, memo={})
+    second = SweepEngine(jobs=1, cache=cache, use_cache=True)
     second._execute = lambda jobs: pytest.fail(
         "sweep re-simulated despite a warm persistent cache: %r" % jobs)
     served = second.sweep(SWEEP_MODES, SWEEP_WORKLOADS)
@@ -281,7 +280,7 @@ def test_sweep_served_from_disk_across_engines(tmp_path):
 
 
 def test_sweep_validates_workload_names(tmp_path):
-    engine = SweepEngine(jobs=1, use_cache=False, memo={})
+    engine = SweepEngine(jobs=1, use_cache=False)
     with pytest.raises(ValueError, match="unknown workload 'nope'"):
         engine.sweep([FusionMode.NONE], ["nope"])
 
@@ -301,7 +300,7 @@ def test_sweep_keeps_siblings_when_one_job_crashes(monkeypatch):
         return real(job)
 
     monkeypatch.setattr(engine_mod, "_execute_job", crashing)
-    engine = SweepEngine(jobs=1, use_cache=False, memo={})
+    engine = SweepEngine(jobs=1, use_cache=False)
     with pytest.raises(SweepJobError) as excinfo:
         engine.sweep([FusionMode.NONE], ["bitcount", "dijkstra"])
     error = excinfo.value
@@ -331,7 +330,7 @@ def test_parallel_sweep_reports_failures_without_aborting(tmp_path):
     # An unknown workload smuggled past validation makes the *worker*
     # raise; the pool run must return the error instead of hanging or
     # discarding the sibling results.
-    engine = SweepEngine(jobs=2, use_cache=False, memo={})
+    engine = SweepEngine(jobs=2, use_cache=False)
     engine._preload = lambda jobs: None  # the bad job cannot preload
     monkey_jobs = [("bitcount", ProcessorConfig()),
                    ("not-a-workload", ProcessorConfig())]
@@ -392,14 +391,12 @@ def test_ensure_known_lists_catalog():
 
 
 def test_custom_config_results_are_memoised():
-    # Custom configs used to bypass the runner cache entirely; now they
-    # key on the fingerprint like everything else.
+    # Custom configs key on the fingerprint like everything else.
     config = ProcessorConfig(fp_kind="tage")
-    first = get_result("bitcount", FusionMode.HELIOS, config,
-                       use_cache=False)
-    second = get_result("bitcount", FusionMode.HELIOS, config,
-                        use_cache=False)
-    assert first is second
+    engine = SweepEngine(jobs=1, use_cache=False)
+    first = engine.sweep([FusionMode.HELIOS], ["bitcount"], config)
+    second = engine.sweep([FusionMode.HELIOS], ["bitcount"], config)
+    assert first["bitcount"]["Helios"] is second["bitcount"]["Helios"]
 
 
 # ---- Table III coverage bounds (the unclamped metric) ------------------------

@@ -33,16 +33,6 @@ payload has a ``sampled`` section (``repro bench --sample``):
 Payloads *without* a ``sampled`` section — every bench run before the
 sampling subsystem existed, or any run without ``--sample`` — pass
 this check vacuously.
-
-A fourth, likewise conditional check covers the simulation service.
-When the payload has a ``serving`` section (``repro bench --serve``):
-
-* every load run must have served its full schedule
-  (``ok == requests`` at every duplicate ratio), and
-* served-request throughput at 90 % duplicates must beat the
-  0 %-duplicate baseline by ``$REPRO_SERVE_SPEEDUP_FLOOR`` (default
-  3x — coalescing plus the LRU tier clear 5x comfortably on a
-  developer machine; the floor keeps headroom for slow runners).
 """
 
 from __future__ import annotations
@@ -58,10 +48,6 @@ DEFAULT_FLOOR = 10_000  # µops/s; override with REPRO_PERF_FLOOR
 #: clear ~6-7x on a developer machine; 3x keeps headroom for slow CI
 #: runners while still catching a sampler that stopped skipping work.
 DEFAULT_SAMPLED_SPEEDUP_FLOOR = 3.0
-
-#: Minimum served-request throughput ratio (90 % duplicates vs 0 %);
-#: override with REPRO_SERVE_SPEEDUP_FLOOR.
-DEFAULT_SERVE_SPEEDUP_FLOOR = 3.0
 
 
 def check_sampled(payload, floor) -> bool:
@@ -99,45 +85,6 @@ def check_sampled(payload, floor) -> bool:
             print("check_perf: FAIL — %s IPC estimate outside its "
                   "reported confidence bound" % name)
             failed = True
-    return failed
-
-
-def check_serving(payload, floor) -> bool:
-    """Gate the ``serving`` section; returns True on failure.
-
-    Absent section (a run without ``--serve``) passes: the gate only
-    judges measurements that were actually taken.
-    """
-    serving = payload.get("serving") or {}
-    ratios = serving.get("ratios") or {}
-    if not ratios:
-        print("check_perf: no serving section (run with --serve to "
-              "gate the simulation service)")
-        return False
-    failed = False
-    for key in sorted(ratios, key=int):
-        row = ratios[key]
-        print("check_perf: serving dup %3s%%  %8.1f req/s  "
-              "p99 %7.1f ms  %d/%d served"
-              % (key, row.get("throughput_rps", 0.0),
-                 row.get("latency_ms", {}).get("p99", 0.0),
-                 row.get("ok", 0), row.get("requests", 0)))
-        if row.get("ok") != row.get("requests"):
-            print("check_perf: FAIL — lost requests at %s%% "
-                  "duplicates (%s errors)"
-                  % (key, row.get("errors")))
-            failed = True
-    speedup = serving.get("speedup_90_vs_0")
-    if speedup is None:
-        print("check_perf: FAIL — serving section lacks the 90%%-vs-"
-              "0%% throughput ratio")
-        return True
-    print("check_perf: serving 90%% vs 0%% duplicates: %.1fx "
-          "(floor %.1fx)" % (speedup, floor))
-    if speedup < floor:
-        print("check_perf: FAIL — duplicate-heavy serving throughput "
-              "below the floor")
-        failed = True
     return failed
 
 
@@ -190,10 +137,6 @@ def main(argv=None) -> int:
     sampled_floor = float(os.environ.get("REPRO_SAMPLED_SPEEDUP_FLOOR",
                                          DEFAULT_SAMPLED_SPEEDUP_FLOOR))
     failed = check_sampled(payload, sampled_floor) or failed
-
-    serve_floor = float(os.environ.get("REPRO_SERVE_SPEEDUP_FLOOR",
-                                       DEFAULT_SERVE_SPEEDUP_FLOOR))
-    failed = check_serving(payload, serve_floor) or failed
 
     return 1 if failed else 0
 

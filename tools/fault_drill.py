@@ -134,7 +134,7 @@ def main(argv=None):
     os.environ.pop(FAULT_INJECT_ENV, None)
     print("baseline: %d workload(s) x %d mode(s), serial, uncached"
           % (len(names), len(modes)))
-    baseline_engine = SweepEngine(jobs=1, use_cache=False, memo={})
+    baseline_engine = SweepEngine(jobs=1, use_cache=False)
     baseline = result_grid(baseline_engine.sweep(modes, workloads=names),
                            names, modes)
 
@@ -148,7 +148,7 @@ def main(argv=None):
           % (FAULT_INJECT_ENV, args.spec, args.jobs, args.job_timeout,
              args.retries))
     engine = SweepEngine(jobs=args.jobs, cache=cache, use_cache=True,
-                         memo={}, job_timeout=args.job_timeout,
+                         job_timeout=args.job_timeout,
                          retries=args.retries)
     try:
         faulted = result_grid(engine.sweep(modes, workloads=names),
