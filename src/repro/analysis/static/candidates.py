@@ -201,10 +201,6 @@ class StaticReport:
                   tail_index: int) -> Optional[StaticCandidate]:
         return self.candidates.get((head_index, tail_index))
 
-    def by_verdict(self, verdict: StaticVerdict) -> list:
-        return [c for c in self.candidates.values()
-                if c.verdict is verdict]
-
     def verdict_counts(self) -> dict:
         counts = {v: 0 for v in StaticVerdict}
         for candidate in self.candidates.values():

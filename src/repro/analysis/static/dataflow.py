@@ -218,10 +218,6 @@ class ValueResolver:
         """Symbolic value of ``reg`` just before ``use_index`` runs."""
         return self._resolve(reg, use_index, frozenset(), 0)
 
-    def value_of_def(self, def_index: int) -> SymbolicValue:
-        """Symbolic value the definition at ``def_index`` produces."""
-        return self._eval_def(def_index, frozenset(), 0)
-
     # -- internals -----------------------------------------------------
 
     def _resolve(self, reg: int, use_index: int, visiting: frozenset,

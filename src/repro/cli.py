@@ -5,6 +5,7 @@
     python -m repro workloads                 # list the catalog
     python -m repro simulate dijkstra         # all six configurations
     python -m repro simulate 657.xz_1 --mode Helios --fp-kind tage
+    python -m repro simulate 605.mcf --scale-to 500000 --sample  # IPC ± CI
     python -m repro experiment fig10 --workloads 657.xz_1,605.mcf --jobs 4
     python -m repro experiment fig9 --jobs 8 --job-timeout 120 \\
         --report-json sweep.json              # fault-tolerant sweep
@@ -27,7 +28,8 @@ Each ``experiment`` command builds one
 (``--jobs``, ``--cache-dir``, ``--no-cache``, ``--job-timeout``,
 ``--retries``) and hands it to the figure or table, which takes its
 cells from one sweep; ``--report-json`` writes that sweep's report.
-``simulate --segments`` runs :meth:`SweepEngine.segmented` directly.
+``simulate`` runs one trace in-process: serial full detail (exact) or
+``--sample`` (estimated, with a confidence interval).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.experiments import (
     cpi_accounting, figure2, figure3, figure4, figure5, figure8, figure9,
     figure10, legality_census, table1, table2, table3,
 )
+from repro.experiments.engine import parse_jobs
 from repro.sampling import DEFAULT_WINDOWS as _SAMPLE_DEFAULT_WINDOWS
 from repro.workloads import (
     CATALOG, TraceStore, build_workload, ensure_known, workload_names,
@@ -67,6 +70,33 @@ def _parse_mode(text: str) -> FusionMode:
     except KeyError:
         raise SystemExit("unknown mode %r; choose from: %s"
                          % (text, ", ".join(m.value for m in FusionMode))) from None
+
+
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an integer flag with a lower bound: a bad
+    value is a usage error, not a traceback or a silent default."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid integer %r" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (minimum, value))
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+
+
+def _jobs_arg(text: str) -> int:
+    """``--jobs`` under the rule ``$REPRO_JOBS`` follows (0 = auto)."""
+    try:
+        return parse_jobs(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _workload_list(arg: Optional[str]) -> Optional[List[str]]:
@@ -137,12 +167,24 @@ def _render_estimate(est) -> str:
     return "\n".join(lines)
 
 
+def _one_mode(args) -> FusionMode:
+    """The one configuration ``--mode`` names (default: Helios), which
+    ``--fp-kind`` requires to be Helios."""
+    mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
+    if args.fp_kind and mode is not FusionMode.HELIOS:
+        raise SystemExit(
+            "--fp-kind selects the Helios fusion predictor and has "
+            "no effect with --mode %s; drop it or use --mode Helios"
+            % mode.value)
+    return mode
+
+
 def _simulate_sampled(args, config: ProcessorConfig) -> int:
     from repro.sampling import sampled_simulate
     if args.sample < 2:
         raise SystemExit("--sample needs at least 2 strata "
                          "(exact head + one detail window)")
-    mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
+    mode = _one_mode(args)
     est = sampled_simulate(_trace_for(args), config.with_mode(mode),
                            windows=args.sample, warmup=args.warmup,
                            name=args.workload)
@@ -150,46 +192,20 @@ def _simulate_sampled(args, config: ProcessorConfig) -> int:
     return 0
 
 
-def _simulate_segmented(args, config: ProcessorConfig) -> int:
-    if args.segments < 1:
-        raise SystemExit("--segments needs at least 1 segment")
-    mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
-    engine = SweepEngine(jobs=args.jobs, job_timeout=args.job_timeout,
-                         retries=args.retries)
-    result = engine.segmented(
-        args.workload, mode, args.segments, warmup=args.warmup,
-        config=config, max_uops=args.max_uops, scale_to=args.scale_to)
-    print(result.summary())
-    warm = ("full-prefix (bit-exact splice)" if args.warmup is None
-            else "bounded %d µ-ops (approximate splice)" % args.warmup)
-    print("spliced from %d segment(s); warmup: %s"
-          % (args.segments, warm))
-    return 0
-
-
 def _cmd_simulate(args) -> int:
     if args.workload not in CATALOG:
         raise SystemExit("unknown workload %r (see `repro workloads`)"
                          % args.workload)
-    if args.sample is not None and args.segments is not None:
-        raise SystemExit(
-            "--sample (approximate, single-process) and --segments "
-            "(exact, parallel) are alternative strategies; pick one "
-            "(see DESIGN §4e)")
+    if args.warmup is not None and args.sample is None:
+        raise SystemExit("--warmup bounds the functional warming between "
+                         "--sample windows and has no effect without "
+                         "--sample")
     config = _config_from(args)
     if args.sample is not None:
         return _simulate_sampled(args, config)
-    if args.segments is not None:
-        return _simulate_segmented(args, config)
     trace = _trace_for(args)
     if args.mode:
-        mode = _parse_mode(args.mode)
-        if args.fp_kind and mode is not FusionMode.HELIOS:
-            raise SystemExit(
-                "--fp-kind selects the Helios fusion predictor and has "
-                "no effect with --mode %s; drop it or use --mode Helios"
-                % mode.value)
-        result = simulate(trace, config.with_mode(mode),
+        result = simulate(trace, config.with_mode(_one_mode(args)),
                           name=args.workload)
         print(result.summary())
         return 0
@@ -587,14 +603,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate one workload")
     sim.add_argument("workload")
     sim.add_argument("--mode", help="one configuration (default: all six; "
-                                    "--sample/--segments default: Helios)")
+                                    "--sample default: Helios)")
     sim.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
                      help="fusion predictor organization for Helios")
-    sim.add_argument("--max-uops", type=int, default=None, metavar="N",
+    sim.add_argument("--max-uops", type=_positive, default=None, metavar="N",
                      help="dynamic µ-op cap per trace (default %d, "
                           "repro.config.DEFAULT_MAX_UOPS)"
                           % DEFAULT_MAX_UOPS)
-    sim.add_argument("--scale-to", type=int, default=None, metavar="N",
+    sim.add_argument("--scale-to", type=_positive, default=None, metavar="N",
                      help="iteration-scale the kernel until its trace "
                           "reaches ~N µ-ops (multi-million-µop runs; "
                           "overrides --max-uops)")
@@ -606,27 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "functional warming between them (default "
                           "N=%d); reports IPC/CPI with a 95%%-confidence "
                           "error bar" % _SAMPLE_DEFAULT_WINDOWS)
-    sim.add_argument("--warmup", type=int, default=None, metavar="M",
-                     help="bounded warmup budget (µ-ops) for "
-                          "--sample/--segments; default: continuous/"
-                          "full-prefix warming (slower, most accurate; "
-                          "bit-exact splice for --segments)")
-    sim.add_argument("--segments", type=int, default=None, metavar="K",
-                     help="segment-parallel exact simulation: splice K "
-                          "independently-simulated segments (bit-exact "
-                          "with default full warmup)")
-    sim.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="worker processes for --segments "
-                          "(default: $REPRO_JOBS or 1)")
-    sim.add_argument("--job-timeout", type=float, default=None,
-                     metavar="S",
-                     help="per-segment deadline in seconds for "
-                          "--segments; a hung worker is killed and the "
-                          "segment retried (default: $REPRO_JOB_TIMEOUT "
-                          "or off)")
-    sim.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="retry budget per segment for --segments "
-                          "(default: $REPRO_JOB_RETRIES or 2)")
+    sim.add_argument("--warmup", type=_int_at_least(0), default=None,
+                     metavar="M",
+                     help="bounded warmup budget (µ-ops) between --sample "
+                          "windows; default: continuous warming (slower, "
+                          "most accurate)")
     sim.set_defaults(func=_cmd_simulate)
 
     exp = sub.add_parser("experiment",
@@ -637,9 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset (default: all 32)")
     exp.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
                      help="fusion predictor organization for Helios sweeps")
-    exp.add_argument("--jobs", type=int, default=None, metavar="N",
+    exp.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
                      help="simulate cache misses across N worker "
-                          "processes (default: $REPRO_JOBS or 1)")
+                          "processes, 0 = one per CPU (default: "
+                          "$REPRO_JOBS or 1)")
     exp.add_argument("--cache-dir", metavar="DIR",
                      help="persistent result cache directory "
                           "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -699,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset (default: "
                             "$REPRO_BENCH_WORKLOADS or the "
                             "representative 12)")
-    bench.add_argument("--max-uops", type=int, default=None, metavar="N",
+    bench.add_argument("--max-uops", type=_positive, default=None, metavar="N",
                        help="dynamic µ-op cap per trace (default %d, "
                             "repro.config.DEFAULT_MAX_UOPS)"
                             % DEFAULT_MAX_UOPS)
@@ -719,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--fp-kind",
                          choices=["tournament", "tage", "local"],
                          help="fusion predictor organization for Helios")
-    profile.add_argument("--max-uops", type=int, default=None, metavar="N",
+    profile.add_argument("--max-uops", type=_positive, default=None,
+                         metavar="N",
                          help="dynamic µ-op cap per trace (default %d, "
                               "repro.config.DEFAULT_MAX_UOPS)"
                               % DEFAULT_MAX_UOPS)
@@ -744,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--ring", type=int, default=None, metavar="N",
                        help="event ring capacity (default 65536; keeps "
                             "the last N events)")
-    debug.add_argument("--max-uops", type=int, default=None, metavar="N",
+    debug.add_argument("--max-uops", type=_positive, default=None, metavar="N",
                        help="dynamic µ-op cap per trace (default %d, "
                               "repro.config.DEFAULT_MAX_UOPS)"
                               % DEFAULT_MAX_UOPS)
@@ -758,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated workload name(s)")
     analyze.add_argument("--mode",
                          help="one configuration (default: all six)")
-    analyze.add_argument("--max-uops", type=int, default=None, metavar="N",
+    analyze.add_argument("--max-uops", type=_positive, default=None,
+                         metavar="N",
                          help="dynamic µ-op cap per trace (default %d, "
                               "repro.config.DEFAULT_MAX_UOPS)"
                               % DEFAULT_MAX_UOPS)
@@ -790,7 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "and/or a fusion mode such as 'helios' "
                              "(that pipeline's committed pairs); "
                              "default oracle,helios")
-    static.add_argument("--max-uops", type=int, default=None, metavar="N",
+    static.add_argument("--max-uops", type=_positive, default=None,
+                        metavar="N",
                         help="dynamic µ-op cap per trace (default %d)"
                              % DEFAULT_MAX_UOPS)
     static.add_argument("--path-budget", type=int,

@@ -22,7 +22,7 @@ from typing import Dict
 #: than the functional ``Interpreter``'s own 2M safety cap
 #: (:data:`repro.isa.interp.DEFAULT_INTERP_MAX_UOPS`): 200k µ-ops is
 #: the full-detail budget, while multi-million-µop regions are reached
-#: through the sampling / segmenting layer (:mod:`repro.sampling`).
+#: through sampled simulation (:mod:`repro.sampling`).
 DEFAULT_MAX_UOPS = 200_000
 
 
@@ -195,18 +195,6 @@ class ProcessorConfig:
         payload = json.dumps(data, sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    @property
-    def memory_fusion_enabled(self) -> bool:
-        return self.fusion_mode.fuses_memory_pairs
-
-    @property
-    def helios_enabled(self) -> bool:
-        return self.fusion_mode is FusionMode.HELIOS
-
-    @property
-    def oracle_enabled(self) -> bool:
-        return self.fusion_mode is FusionMode.ORACLE
 
 
 def paper_configurations(base: ProcessorConfig = None) -> Dict[str, ProcessorConfig]:

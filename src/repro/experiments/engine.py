@@ -35,7 +35,7 @@ takes its cells from one :meth:`SweepEngine.sweep` call.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.results import SimResult
@@ -58,36 +58,40 @@ from repro.experiments.faults import (
 from repro.fusion.oracle import cached_oracle_pairs
 from repro.workloads import build_workload, ensure_known, workload_names
 
-#: Environment variable supplying the default worker count
-#: (``auto``/``0`` means one worker per CPU).
+#: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
 
-def default_jobs() -> int:
-    """Worker count from ``$REPRO_JOBS`` (default: 1, sequential).
+def parse_jobs(raw: Union[int, str], source: str = "jobs") -> int:
+    """Worker count under the one rule ``--jobs``, ``SweepEngine(jobs=)``
+    and ``$REPRO_JOBS`` share: a positive integer, or ``0``/``auto`` for
+    one worker per CPU.
 
-    An unparsable or non-positive value raises — silently falling back
-    to one sequential worker masked typos like ``REPRO_JOBS=four`` and
-    made "parallel" runs mysteriously slow.
+    A negative or unparsable value raises — silently falling back to
+    one sequential worker masked typos like ``REPRO_JOBS=four`` and
+    made "parallel" runs mysteriously slow.  ``source`` names the
+    setting in the error message.
     """
-    raw = os.environ.get(JOBS_ENV, "").strip().lower()
-    if not raw:
-        return 1
-    if raw == "auto":
+    text = str(raw).strip().lower()
+    if text == "auto":
         return os.cpu_count() or 1
     try:
-        value = int(raw)
+        value = int(text)
     except ValueError:
         raise ValueError(
-            "invalid %s=%r: expected a positive integer or 'auto'"
-            % (JOBS_ENV, raw)) from None
-    if value == 0:
-        return os.cpu_count() or 1  # 0 is documented shorthand for auto
+            "invalid %s %r: expected a positive integer, 0 or 'auto'"
+            % (source, raw)) from None
     if value < 0:
         raise ValueError(
-            "invalid %s=%r: worker count cannot be negative"
-            % (JOBS_ENV, raw))
-    return value
+            "invalid %s %r: worker count cannot be negative"
+            % (source, raw))
+    return value or os.cpu_count() or 1
+
+
+def default_jobs() -> int:
+    """Worker count from ``$REPRO_JOBS`` (unset: 1, sequential)."""
+    raw = os.environ.get(JOBS_ENV, "").strip()
+    return parse_jobs(raw, JOBS_ENV) if raw else 1
 
 
 class SweepJobError(RuntimeError):
@@ -119,46 +123,6 @@ def _execute_job(job: Tuple[str, ProcessorConfig]) -> SimResult:
     return simulate(build_workload(name), config, name=name)
 
 
-def _resolve_segment_trace(spec: Tuple[str, str, Optional[int]]):
-    """Materialise the trace a segment job measures.
-
-    ``spec`` is ``(kind, name, arg)``: kind ``"catalog"`` builds the
-    regular workload trace (``arg`` = optional µ-op cap), kind
-    ``"scaled"`` builds the iteration-scaled trace (``arg`` = target
-    µ-ops).  Both paths hit the in-process memo first, so ``fork``
-    workers reuse the parent's copy-on-write trace instead of
-    re-reading it.
-    """
-    kind, name, arg = spec
-    if kind == "scaled":
-        from repro.sampling.scale import build_scaled_workload
-        return build_scaled_workload(name, arg)
-    if arg:
-        return build_workload(name, max_uops=arg)
-    return build_workload(name)
-
-
-def _execute_segment_job(job, fault_token: Optional[str] = None
-                         ) -> Tuple[bool, object]:
-    """Worker entry point: one exact segment of a longer trace.
-
-    Returns ``(True, delta_dict)`` — the plain picklable counter deltas
-    :func:`repro.sampling.segment.simulate_segment` produces — or
-    ``(False, JobFailure)`` carrying the worker-side traceback.  The
-    worker renumbers its own sub-trace locally; only the small delta
-    dict crosses the process boundary.
-    """
-    try:
-        maybe_inject_fault(fault_token)
-        spec, config, sub_start, sub_stop, measure_from, measure_to = job
-        from repro.sampling.segment import simulate_segment
-        trace = _resolve_segment_trace(spec)
-        sub = trace.segment(sub_start, sub_stop)
-        return True, simulate_segment(sub, config, measure_from, measure_to)
-    except Exception as exc:  # noqa: BLE001 — isolate *any* job failure
-        return False, JobFailure.from_exception(exc)
-
-
 def _execute_job_guarded(job: Tuple[str, ProcessorConfig],
                          fault_token: Optional[str] = None
                          ) -> Tuple[bool, object]:
@@ -188,10 +152,11 @@ class SweepEngine:
     (default ``$REPRO_JOB_RETRIES`` else 2) re-attempts failed jobs
     with deterministic exponential backoff (base ``backoff_base``,
     default ``$REPRO_JOB_BACKOFF`` else 0.25 s); a job that failed the
-    pool twice degrades to in-process serial execution.  After any
-    ``sweep``/``segmented`` execution, ``last_report`` holds the
+    pool twice degrades to in-process serial execution.  After a
+    ``sweep`` that ran any job, ``last_report`` holds the
     :class:`~repro.experiments.faults.SweepReport` accounting for
-    every attempt.
+    every attempt.  ``jobs`` follows :func:`parse_jobs` (default
+    ``$REPRO_JOBS`` else 1).
     """
 
     def __init__(self,
@@ -201,7 +166,8 @@ class SweepEngine:
                  job_timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  backoff_base: Optional[float] = None):
-        self.jobs = jobs if jobs is not None else default_jobs()
+        self.jobs = (default_jobs() if jobs is None
+                     else parse_jobs(jobs))
         self.cache = cache if cache is not None else ResultCache()
         self.use_cache = (use_cache if use_cache is not None
                           else cache_enabled_by_default())
@@ -279,75 +245,6 @@ class SweepEngine:
             backoff_base=self.backoff_base)
         self.last_report = report
         return outcomes
-
-    # ------------------------------------------------------------- segments --
-
-    def segmented(self, workload: str, mode: FusionMode,
-                  segments: int,
-                  warmup: Optional[int] = None,
-                  config: Optional[ProcessorConfig] = None,
-                  max_uops: Optional[int] = None,
-                  scale_to: Optional[int] = None) -> SimResult:
-        """Segment-parallel exact simulation of one (workload, mode).
-
-        The trace is cut into ``segments`` contiguous measurement
-        regions (:func:`repro.sampling.segment.plan_segments`); each
-        region is simulated as an independent job — serially when the
-        engine has one worker, over the fault-tolerant worker
-        scheduler otherwise
-        — and the per-segment counter deltas are spliced back into one
-        :class:`SimResult`.  With ``warmup=None`` the splice is
-        bit-exact against serial simulation; bounded warmup trades
-        exactness for O(L + K·W) total work (see DESIGN §4e).
-
-        ``scale_to`` measures the iteration-scaled trace
-        (:func:`repro.sampling.scale.build_scaled_workload`) instead of
-        the catalog capture.  Results are memoised in-process only —
-        never in the persistent disk cache, whose entries must all mean
-        "serial full-detail run" (bounded-warmup splices are
-        approximate, and scaled traces are not the catalog capture).
-        """
-        from repro.sampling.segment import plan_segments, splice
-
-        base = config or ProcessorConfig()
-        full = base.with_mode(mode)
-        spec = (("scaled", workload, scale_to) if scale_to
-                else ("catalog", workload, max_uops))
-        memo_key = "%s|spec=%s|segments=%d|warmup=%s" % (
-            cache_key(workload, full), spec, segments, warmup)
-        hit = self.memo.get(memo_key)
-        if hit is not None:
-            return hit
-
-        # Materialise the parent trace before planning/forking so
-        # ``fork`` workers inherit it copy-on-write.
-        trace = _resolve_segment_trace(spec)
-        plans = plan_segments(len(trace), segments, warmup)
-        jobs = [(spec, full, p.sub_start, p.sub_stop,
-                 p.measure_from, p.measure_to) for p in plans]
-        workers = min(self.jobs, len(jobs))
-        labels = [(workload, "%s:seg%d" % (full.fusion_mode.value,
-                                           plan.index))
-                  for plan in plans]
-        outcomes, report = run_jobs(
-            jobs, _execute_segment_job, labels, workers=workers,
-            timeout=self.job_timeout, retries=self.retries,
-            backoff_base=self.backoff_base)
-        self.last_report = report
-
-        deltas = []
-        failures: List[Tuple[str, str, str]] = []
-        for plan, label, (ok, outcome) in zip(plans, labels, outcomes):
-            if ok:
-                deltas.append(outcome)
-            else:
-                failures.append((workload, label[1],
-                                 as_failure(outcome).describe()))
-        if failures:
-            raise SweepJobError(failures, report=report)
-        result = splice(deltas, workload, full)
-        self.memo[memo_key] = result
-        return result
 
     # --------------------------------------------------------------- sweeps --
 

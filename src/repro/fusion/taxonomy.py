@@ -44,10 +44,6 @@ class Contiguity(enum.Enum):
     def fuseable(self) -> bool:
         return self is not Contiguity.TOO_FAR
 
-    @property
-    def is_contiguous(self) -> bool:
-        return self is Contiguity.CONTIGUOUS
-
 
 class BaseRegKind(enum.Enum):
     """Whether the pair shares an architectural base register."""

@@ -97,10 +97,6 @@ class Memory:
             addr = base + i
             self._page(addr >> _PAGE_SHIFT)[addr & _PAGE_MASK] = byte
 
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._pages) * _PAGE_SIZE
-
     def snapshot(self) -> dict[int, bytes]:
         """Immutable image of resident memory, all-zero pages dropped.
 
@@ -147,9 +143,6 @@ class Interpreter:
     def _write_reg(self, index: Optional[int], value: int) -> None:
         if index is not None and index != 0:
             self.regs[index] = value & _MASK64
-
-    def _read(self, index: Optional[int]) -> int:
-        return self.regs[index] if index is not None else 0
 
     # -- main loop ---------------------------------------------------------
 

@@ -47,10 +47,6 @@ class Program:
             raise IndexError("PC 0x%x is outside the program" % pc)
         return index
 
-    def label_pc(self, label: str) -> int:
-        """PC of a label."""
-        return self.pc_of(self.labels[label])
-
     def listing(self) -> str:
         """Human-readable disassembly, one line per instruction."""
         index_to_label: dict[int, list[str]] = {}

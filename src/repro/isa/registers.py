@@ -65,13 +65,3 @@ def reg_name(index: int) -> str:
     if FP_REG_BASE <= index < NUM_ARCH_REGS:
         return "f%d" % (index - FP_REG_BASE)
     raise ValueError("register index out of range: %d" % index)
-
-
-def is_fp_reg(index: int) -> bool:
-    """True when the flat index names a floating-point register."""
-    return FP_REG_BASE <= index < NUM_ARCH_REGS
-
-
-def is_valid_reg(index: int) -> bool:
-    """True when the flat index names any architectural register."""
-    return 0 <= index < NUM_ARCH_REGS

@@ -153,10 +153,6 @@ class Trace:
     def num_memory(self) -> int:
         return self.num_loads + self.num_stores
 
-    @property
-    def num_branches(self) -> int:
-        return self.opclass_counts().get(OpClass.BRANCH, 0)
-
     def memory_fraction(self) -> float:
         """Fraction of dynamic µ-ops that are loads or stores."""
         if not self.uops:

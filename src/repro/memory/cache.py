@@ -22,12 +22,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        if not self.accesses:
-            return 1.0
-        return self.hits / self.accesses
-
 
 class Cache:
     """One cache level."""
@@ -42,9 +36,6 @@ class Cache:
         self._line_shift = config.line_bytes.bit_length() - 1
         self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
         self.stats = CacheStats()
-
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
 
     def lookup(self, addr: int) -> bool:
         """Access one line; returns hit and updates recency/contents."""

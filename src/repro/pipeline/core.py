@@ -23,13 +23,11 @@ Fusion responsibilities match the paper's Figure 6:
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import gc
 import heapq
 import operator
 import os
-import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -78,11 +76,10 @@ DEADLOCK_WATCHDOG_CYCLES = 1024
 #: *committed* µ-op the fetch stage can have reached.  In flight at
 #: most: fetch buffer (2 x fetch_width = 16) + AQ (140) + rename latch
 #: (2 x dispatch_width = 10) + ROB (352, which bounds everything
-#: renamed but not committed) < 520 µ-ops.  A trace segment extended
-#: this many µ-ops past a measurement boundary therefore behaves
-#: bit-identically to the full trace up to that boundary — the basis of
-#: the segment-splice exactness contract (see repro.sampling.segment
-#: and DESIGN §4e).
+#: renamed but not committed) < 520 µ-ops.  A trace truncated this
+#: many µ-ops past a stop therefore runs bit-identically to the full
+#: trace up to that stop — the bound behind the sampler's exact head
+#: and each detail window's trail (repro.sampling.sample, DESIGN §4e).
 DRAIN_HORIZON = 1024
 
 #: ``EXECUTION_LATENCY`` as a dense list indexed by ``OpClass`` value —
@@ -446,7 +443,7 @@ class PipelineCore:
         — read ``stats.instructions`` for the exact count).  The run is
         resumable: calling ``run`` again continues from the stopped
         cycle and produces exactly the state an uninterrupted run would
-        have reached, which is what the sampling / segmenting layer
+        have reached, which is what the sampler
         (:mod:`repro.sampling`) measures deltas across.
 
         The cyclic garbage collector is paused for the duration: the
@@ -465,41 +462,6 @@ class PipelineCore:
             if gc_was_enabled:
                 gc.enable()
                 gc.collect()
-
-    def checkpoint(self) -> "PipelineCore":
-        """An independent deep copy of the full µ-architectural state.
-
-        The returned core resumes from exactly this point: running the
-        copy produces bit-identical counters to continuing the
-        original (the round-trip property tests assert this).  The
-        static trace — the ``MicroOp``/``Instruction`` objects and the
-        trace list itself — and the frozen config are *shared*, not
-        copied, so a checkpoint costs memory proportional to the
-        in-flight window, not the trace, and identity-keyed caches
-        (the fusion window's static-match memo) stay valid.
-
-        Observers, sanitizers, and commit logs hold per-run context
-        that cannot be meaningfully forked; checkpointing with one
-        attached raises.
-        """
-        if (self.observer is not None or self._san is not None
-                or self._clog is not None):
-            raise ValueError(
-                "checkpoint() with an observer/sanitizer/commit-log "
-                "attached is not supported: per-run observation context "
-                "cannot be forked")
-        memo = {id(self.trace): self.trace, id(self.config): self.config}
-        for mo in self.trace:
-            memo[id(mo)] = mo
-            memo[id(mo.inst)] = mo.inst
-        # deepcopy recurses along producer->consumer wait-list chains,
-        # which can run far deeper than the default interpreter limit.
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 1_000_000))
-        try:
-            return copy.deepcopy(self, memo)
-        finally:
-            sys.setrecursionlimit(old_limit)
 
     def _run(self, max_cycles: Optional[int] = None,
              until_instructions: Optional[int] = None) -> CoreStats:

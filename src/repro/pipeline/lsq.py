@@ -45,10 +45,6 @@ class LSQEntry:
         self.addr_known = False   # set when the µ-op's AGU executes
         self.drained_c: Optional[int] = None  # stores: cache write done
 
-    @property
-    def oldest_seq(self) -> int:
-        return self.subs[0].seq
-
     def drop_tail(self) -> None:
         """Unfuse: the entry shrinks back to the head access."""
         del self.subs[1:]

@@ -308,11 +308,6 @@ class RenameUnit:
         self._end_nest_if_done()
         return outcome
 
-    def note_unfused_tail(self) -> None:
-        """A nest collapsed without its ghost validating (early unfuse)."""
-        self.active_ncs -= 1
-        self._end_nest_if_done()
-
     # -- flush recovery ---------------------------------------------------------
 
     def flush_from(self, seq: int) -> None:

@@ -115,11 +115,6 @@ class PipeUop:
         return self.tail.seq if self.tail is not None else None
 
     @property
-    def youngest_seq(self) -> int:
-        """Youngest instruction this µ-op carries (for squash decisions)."""
-        return self.tail.seq if self.tail is not None else self.head.seq
-
-    @property
     def is_fused(self) -> bool:
         return self.fusion is not FusionKind.NONE
 

@@ -89,8 +89,3 @@ class UopCache:
 
     def invalidate(self) -> None:
         self._groups.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -1,16 +1,10 @@
-"""Sampling & segmentation: scale cycle-accurate runs across the trace.
+"""Sampling: scale cycle-accurate runs across multi-million-µop traces.
 
-Two composable strategies for multi-million-µop traces (DESIGN §4e):
-
-* :func:`sampled_simulate` — systematic interval sampling
-  (SMARTS-style): N detail windows with functional warming between
-  them; statistically-bounded IPC/CPI estimates with confidence
-  intervals.  Fast, approximate, single-process.
-* :func:`segmented_simulate` — segment-parallel exact simulation:
-  K contiguous segments with overlapping warmup prefixes, spliced by
-  counter deltas.  Bit-exact with full warmup; the parallel execution
-  path rides the multiprocessing sweep engine
-  (:mod:`repro.experiments.engine`).
+:func:`sampled_simulate` is systematic interval sampling (SMARTS-style,
+DESIGN §4e): an exact detailed head plus N detail windows with
+functional warming between them, giving statistically-bounded IPC/CPI
+estimates with confidence intervals.  It is the approximate
+alternative to a serial full-detail run.
 
 Plus :func:`build_scaled_workload`, which rebuilds catalog kernels
 with multiplied iteration counts so traces actually *reach*
@@ -34,13 +28,6 @@ from repro.sampling.sample import (
     sampled_simulate,
 )
 from repro.sampling.scale import build_scaled_workload, clear_scaled_memo
-from repro.sampling.segment import (
-    SegmentPlan,
-    plan_segments,
-    segmented_simulate,
-    simulate_segment,
-    splice,
-)
 from repro.sampling.warm import FunctionalWarmer, WarmState
 
 __all__ = [
@@ -53,16 +40,11 @@ __all__ = [
     "SamplePlan",
     "SampleWindow",
     "SampledEstimate",
-    "SegmentPlan",
     "WarmState",
     "build_scaled_workload",
     "clear_scaled_memo",
     "estimate_mean",
     "plan_intervals",
-    "plan_segments",
     "sampled_simulate",
-    "segmented_simulate",
-    "simulate_segment",
-    "splice",
     "t_critical_95",
 ]

@@ -69,13 +69,6 @@ class IntervalEstimate:
     def high(self) -> float:
         return self.mean + self.half_width
 
-    @property
-    def rel_half_width(self) -> float:
-        """Half-width as a fraction of the mean (0 when mean == 0)."""
-        if not self.mean:
-            return 0.0
-        return abs(self.half_width / self.mean)
-
     def to_dict(self) -> Dict[str, float]:
         return {"mean": self.mean, "half_width": self.half_width,
                 "low": self.low, "high": self.high, "n": self.n,

@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.config import FusionMode
 from repro.experiments.faults import (
     AttemptRecord,
@@ -205,19 +206,6 @@ def test_simulate_sampled_explicit_windows(capsys):
     assert "95% CI" in out
 
 
-def test_simulate_segments_splices(capsys):
-    assert main(["simulate", "dijkstra", "--segments", "2",
-                 "--mode", "Helios"]) == 0
-    out = capsys.readouterr().out
-    assert "spliced from 2 segment(s)" in out
-    assert "bit-exact" in out
-
-
-def test_simulate_sample_and_segments_conflict():
-    with pytest.raises(SystemExit, match="alternative strategies"):
-        main(["simulate", "dijkstra", "--sample", "--segments", "2"])
-
-
 # ---- fault tolerance surface -------------------------------------------------
 
 def test_experiment_writes_report_json(capsys, tmp_path):
@@ -358,15 +346,64 @@ def test_trace_info_counts_orphans_and_quarantine(capsys, tmp_path):
     assert "quarantined corrupt entries: 1" in out
 
 
-def test_simulate_segments_accepts_fault_knobs(capsys):
-    assert main(["simulate", "crc32", "--segments", "2",
-                 "--job-timeout", "300", "--retries", "1"]) == 0
-    assert "spliced from 2 segment(s)" in capsys.readouterr().out
-
-
 def test_simulate_sample_needs_two_strata():
     with pytest.raises(SystemExit, match="at least 2 strata"):
         main(["simulate", "dijkstra", "--sample", "1"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "NoFusion", "--warmup", "100"],
+     "no effect without --sample"),
+    (["--sample", "--mode", "NoFusion", "--fp-kind", "tage"],
+     "no effect with --mode NoFusion"),
+    (["--sample", "4", "--warmup", "-5"], "--warmup: must be at least 0"),
+    (["--scale-to", "-5"], "--scale-to: must be at least 1"),
+], ids=["warmup-without-sample", "fp-kind-sampled-nofusion",
+        "negative-warmup", "negative-scale-to"])
+def test_simulate_rejects_ignored_or_invalid_flags(capsys, argv, message):
+    # Each of these used to be silently ignored or end in a traceback.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "crc32"] + argv)
+    assert message in "%s %s" % (excinfo.value.code,
+                                 capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "crc32"], ["bench"], ["profile", "crc32"],
+    ["debug", "crc32"], ["analyze", "crc32"], ["static", "crc32"],
+], ids=lambda argv: argv[0])
+def test_max_uops_must_be_positive(capsys, argv):
+    # 0 used to fall through to the default-length trace.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--max-uops", "0"])
+    assert "--max-uops: must be at least 1" in capsys.readouterr().err
+
+
+def test_simulate_has_no_segment_flags(capsys):
+    for flag in ("--segments", "--jobs", "--job-timeout", "--retries"):
+        with pytest.raises(SystemExit):
+            main(["simulate", "dijkstra", flag, "2"])
+        assert "unrecognized arguments: %s" % flag \
+            in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_experiment_negative_jobs_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit):
+        main(["experiment", "fig3", "--workloads", "crc32",
+              "--jobs", value])
+    assert "cannot be negative" in capsys.readouterr().err
+
+
+def test_jobs_flag_follows_the_repro_jobs_rule():
+    # $REPRO_JOBS=0 already meant one worker per CPU; --jobs 0 ran serially.
+    from repro.experiments import SweepEngine
+    auto = os.cpu_count() or 1
+    args = build_parser().parse_args(["experiment", "fig3", "--jobs", "0"])
+    assert args.jobs == auto
+    assert SweepEngine(jobs=0).jobs == auto
+    with pytest.raises(ValueError, match="cannot be negative"):
+        SweepEngine(jobs=-1)
 
 
 def test_simulate_max_uops_caps_trace(capsys):

@@ -357,17 +357,6 @@ def test_sweep_under_injection_matches_fault_free_serial(
         == {expected_class: 2 * len(_DRILL_WORKLOADS)}
 
 
-def test_segmented_under_injection_matches_fault_free_serial(monkeypatch):
-    expect = SweepEngine(jobs=1, use_cache=False).segmented(
-        "dijkstra", FusionMode.HELIOS, 2)
-    monkeypatch.setenv(FAULT_INJECT_ENV, "exit:1.0")
-    engine = SweepEngine(jobs=2, use_cache=False, retries=2,
-                         backoff_base=0.0)
-    got = engine.segmented("dijkstra", FusionMode.HELIOS, 2)
-    assert got.to_dict() == expect.to_dict()
-    assert len(engine.last_report.degraded_jobs) == 2
-
-
 def test_sweep_job_error_carries_report_and_traceback(monkeypatch):
     from repro.experiments import engine as engine_mod
 

@@ -181,3 +181,33 @@ def test_hot_loop_ignores_cold_helpers():
 def test_hot_loop_core_matches_calibrated_budgets():
     src = (ROOT / lint_repro.CORE_PATH).read_text(encoding="utf-8")
     assert lint_repro.hot_loop_errors(src) == []
+
+
+def test_unreferenced_definition_flagged():
+    sources = {"src/repro/m.py": "def lonely_helper():\n    return 1\n"}
+    errors = lint_repro.unreferenced_errors(
+        sources, ["lonely_helper_count = 2\n"])  # whole words only
+    assert len(errors) == 1
+    assert errors[0].startswith("src/repro/m.py:1:")
+    assert "'lonely_helper'" in errors[0]
+
+
+def test_referenced_definition_passes():
+    sources = {"src/repro/m.py": "class Widget:\n    def spin(self):\n"
+                                 "        return 1\n"}
+    texts = ["from repro.m import Widget\nWidget().spin()\n"]
+    assert lint_repro.unreferenced_errors(sources, texts) == []
+
+
+def test_unreferenced_dunder_is_exempt():
+    sources = {"src/repro/m.py": "class Gadget:\n"
+                                 "    def __repr__(self):\n"
+                                 "        return 'Gadget'\n"}
+    assert lint_repro.unreferenced_errors(sources, ["Gadget()\n"]) == []
+
+
+def test_same_name_defined_twice_needs_a_reference():
+    sources = {"src/repro/a.py": "def twin_rate():\n    return 1\n",
+               "src/repro/b.py": "def twin_rate():\n    return 2\n"}
+    assert len(lint_repro.unreferenced_errors(sources)) == 2
+    assert lint_repro.unreferenced_errors(sources, ["twin_rate()"]) == []

@@ -1,35 +1,30 @@
-"""Sampling & segmentation contracts (DESIGN §4e).
+"""Sampling contracts (DESIGN §4e).
 
 Four contract groups:
 
-* **Checkpoint/restore round trips** — ``PipelineCore.run`` stopped at
-  an instruction boundary and resumed (or forked via ``checkpoint()``)
-  must land on bit-identical counters to an uninterrupted run,
-  including the top-down commit-slot invariant.
+* **Stop/resume round trips** — ``PipelineCore.run`` stopped at an
+  instruction boundary and resumed must land on bit-identical counters
+  to an uninterrupted run, including the top-down commit-slot
+  invariant.
+* **Truncation** — a trace cut ``DRAIN_HORIZON`` µ-ops past a stop runs
+  bit-identically to the full trace up to that stop; the sampler's
+  exact head relies on it.
 * **Estimator honesty** — the sampled IPC estimate must land within
   its own reported 95 %-confidence bound against the full-detail
   ground truth on a spread of scaled catalog workloads.
-* **Splice exactness** — segment-parallel simulation with full-prefix
-  warmup splices to byte-identical whole-trace counters, serially and
-  through the multiprocessing engine; bounded warmup stays within the
-  documented tolerance.
-* **Segment plumbing** — interval/segment planning geometry and
-  trace segmentation.
+* **Plumbing** — interval planning geometry and trace segmentation.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.experiments import SweepEngine
 from repro.fusion.oracle import oracle_memory_pairs
 from repro.pipeline.core import DRAIN_HORIZON, PipelineCore
 from repro.sampling import (
     build_scaled_workload,
     plan_intervals,
-    plan_segments,
     sampled_simulate,
-    segmented_simulate,
 )
 from repro.workloads import build_workload
 
@@ -87,35 +82,7 @@ def test_plan_intervals_geometry():
     assert all(w.warm_start == 0 for w in plan.windows)
 
 
-def test_plan_segments_partitions_exactly():
-    total = 123_457
-    plans = plan_segments(total, 7)
-    assert plans[0].seg_start == 0
-    assert plans[-1].seg_end == total
-    for a, b in zip(plans, plans[1:]):
-        assert a.seg_end == b.seg_start  # contiguous, no gap/overlap
-    for p in plans:
-        assert p.sub_start == 0          # full-prefix warmup
-        assert p.sub_stop >= min(total, p.seg_end + DRAIN_HORIZON) \
-            or p.sub_stop == total
-        assert p.measure_from == p.seg_start
-        assert p.measure_to == p.seg_end
-
-
-def test_plan_segments_bounded_warmup_and_bad_args():
-    plans = plan_segments(100_000, 4, warmup=2048)
-    assert plans[0].sub_start == 0
-    for p in plans[1:]:
-        assert p.sub_start == p.seg_start - 2048
-    with pytest.raises(ValueError):
-        plan_segments(100_000, 0)
-    with pytest.raises(ValueError):
-        plan_segments(100_000, 4, warmup=-5)
-    # More segments than µ-ops: empty segments are dropped.
-    assert len(plan_segments(3, 10)) <= 3
-
-
-# ---------------------------------------- checkpoint/restore round trip --
+# ------------------------------------------- stop/resume round trip --
 
 
 @pytest.mark.parametrize("mode", [FusionMode.NONE, FusionMode.HELIOS])
@@ -150,31 +117,27 @@ def test_resumed_run_matches_straight_run_any_split(stop):
     assert core.run().to_dict() == straight
 
 
-def test_checkpoint_fork_matches_continuation():
-    config = _helios()
-    trace = build_workload("657.xz_1")
-    straight = _straight_stats(trace, config)
-
-    core = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
-    core.run(until_instructions=9_000)
-    fork = core.checkpoint()
-
-    # The fork finishes to the straight-run counters...
-    assert fork.run().to_dict() == straight
-    # ...without perturbing the original, which then does the same.
-    assert core.stats.instructions < len(trace)
-    assert core.run().to_dict() == straight
+# --------------------------------------------------------- truncation --
 
 
-def test_checkpoint_rejects_observed_cores():
-    from repro.obs import PipelineObserver
-    config = _helios()
-    trace = build_workload("dijkstra")
-    core = PipelineCore(trace, config,
-                        oracle_pairs=_pairs(trace, config),
-                        observer=PipelineObserver())
-    with pytest.raises(ValueError):
-        core.checkpoint()
+@pytest.mark.parametrize("name,mode", [
+    ("dijkstra", FusionMode.HELIOS),
+    ("605.mcf", FusionMode.HELIOS),
+    ("657.xz_1", FusionMode.ORACLE),
+    ("bitcount", FusionMode.NONE),
+])
+@pytest.mark.parametrize("third", [1, 2])
+def test_truncated_trace_runs_like_full_trace_to_stop(name, mode, third):
+    config = ProcessorConfig().with_mode(mode)
+    trace = build_workload(name)
+    stop = third * len(trace) // 3
+    full = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
+    full.run(until_instructions=stop)
+    cut = trace.segment(0, stop + DRAIN_HORIZON)
+    assert len(cut) < len(trace)
+    short = PipelineCore(cut, config, oracle_pairs=_pairs(cut, config))
+    short.run(until_instructions=stop)
+    assert short.stats.to_dict() == full.stats.to_dict()
 
 
 # -------------------------------------------------- estimator honesty --
@@ -223,66 +186,6 @@ def test_sampled_tiny_trace_is_exact():
     assert est.exact
     assert est.est_cycles == full["cycles"]
     assert est.ipc_low == est.ipc_estimate == est.ipc_high
-
-
-# --------------------------------------------------- splice exactness --
-
-
-@pytest.mark.parametrize("name,mode", [
-    ("dijkstra", FusionMode.HELIOS),
-    ("605.mcf", FusionMode.HELIOS),
-    ("657.xz_1", FusionMode.ORACLE),
-    ("bitcount", FusionMode.NONE),
-])
-def test_segmented_splice_bitexact_with_full_warmup(name, mode):
-    config = ProcessorConfig().with_mode(mode)
-    trace = build_workload(name)
-    straight = _straight_stats(trace, config)
-    spliced = segmented_simulate(trace, config, segments=3, name=name)
-    assert spliced.stats.to_dict() == straight
-    assert sum(spliced.stats.cpi_buckets.values()) \
-        == spliced.stats.cycles * config.commit_width
-
-
-def test_segmented_single_segment_is_the_straight_run():
-    config = _helios()
-    trace = build_workload("dijkstra")
-    spliced = segmented_simulate(trace, config, segments=1)
-    assert spliced.stats.to_dict() == _straight_stats(trace, config)
-
-
-def test_segmented_bounded_warmup_within_tolerance():
-    config = _helios()
-    trace = build_workload("dijkstra")
-    exact = segmented_simulate(trace, config, segments=3)
-    bounded = segmented_simulate(trace, config, segments=3, warmup=4096)
-    # Documented contract: bounded warmup approximates the serial run
-    # within a few percent of IPC; it exists for the O(L + K·W) cost
-    # profile, not exactness.
-    assert abs(bounded.ipc - exact.ipc) / exact.ipc < 0.02
-
-
-def test_engine_parallel_segments_match_serial():
-    config = _helios()
-    trace = build_workload("dijkstra")
-    straight = _straight_stats(trace, config)
-    engine = SweepEngine(jobs=2)
-    result = engine.segmented("dijkstra", FusionMode.HELIOS, segments=4)
-    assert result.stats.to_dict() == straight
-    # Second call hits the engine's in-process memo (same object back).
-    again = engine.segmented("dijkstra", FusionMode.HELIOS, segments=4)
-    assert again is result
-
-
-def test_engine_segmented_never_touches_disk_result_cache(tmp_path):
-    from repro.experiments.cache import ResultCache
-    cache = ResultCache(str(tmp_path))
-    engine = SweepEngine(jobs=1, cache=cache, use_cache=True)
-    engine.segmented("dijkstra", FusionMode.NONE, segments=2,
-                     warmup=2048)
-    # Bounded-warmup splices are approximate; the persistent cache
-    # must only ever hold serial full-detail results.
-    assert cache.entries() == []
 
 
 # ----------------------------------------------------------- segments --

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific AST lints, run in CI next to ruff.
 
-Two rules the generic linters cannot express:
+Rules the generic linters cannot express:
 
 1. **Config classification** — every ``ProcessorConfig`` dataclass
    field must be claimed either by
@@ -32,6 +32,12 @@ Two rules the generic linters cannot express:
    the table stays honest.  A per-cycle method with no budget entry
    (i.e. a *new* stage) gets zero of both.
 
+4. **Unreferenced definition** — a ``def`` or ``class`` under
+   ``src/repro/`` (dunders excepted) whose name appears as a whole
+   word nowhere in :data:`REFERENCE_DIRS` except at its own ``def``
+   or ``class`` line is dead code: delete it.  Docstring and comment mentions count as
+   references, so the rule only catches names nothing talks about.
+
 Usage: ``python tools/lint_repro.py [--root DIR]``; exits non-zero on
 any violation.  The rule implementations are importable pure functions
 over source text so ``tests/test_lint_repro.py`` can exercise them.
@@ -41,9 +47,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
-from collections.abc import Sequence
 
 CONFIG_PATH = "src/repro/config.py"
 SAMPLES_PATH = "tests/test_config_fingerprint.py"
@@ -289,6 +297,68 @@ def hot_loop_errors(source: str, budgets: dict = None,
     return errors
 
 
+# -- rule 4: unreferenced definitions ----------------------------------------
+
+DEFINITIONS_DIR = "src/repro"
+
+#: Directories whose text can keep a definition alive.
+REFERENCE_DIRS = ("src", "tests", "tools", "benchmarks", "examples",
+                  "reprobench")
+
+_WORD = re.compile(r"\w+")
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of every ``def``/``class``, dunders excepted."""
+    return [(node.name, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__"))]
+
+
+def unreferenced_errors(sources: Mapping[str, str],
+                        texts: Iterable[str] = ()) -> list[str]:
+    """Definitions in ``sources`` (path -> text) whose name occurs as a
+    whole word in ``sources`` and ``texts`` only at its definitions."""
+    words: Counter = Counter()
+    for text in list(sources.values()) + list(texts):
+        words.update(_WORD.findall(text))
+    found = [(path, name, line) for path, source in sources.items()
+             for name, line in definitions(source)]
+    defined = Counter(name for _path, name, _line in found)
+    return ["%s:%d: %r is never referenced outside its definition; "
+            "delete it" % (path, line, name)
+            for path, name, line in found if words[name] <= defined[name]]
+
+
+def _text_files(root: Path) -> Iterable[Path]:
+    for top in REFERENCE_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            parts = path.relative_to(root).parts
+            if path.is_file() and not any(
+                    part.startswith(".") or part == "__pycache__"
+                    or part.endswith(".egg-info") for part in parts):
+                yield path
+
+
+def unreferenced_definitions(root: Path) -> list[str]:
+    """Rule 4 over the repository at ``root``."""
+    sources, texts = {}, []
+    for path in _text_files(root):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue  # binary: names nothing
+        rel = path.relative_to(root)
+        if path.suffix == ".py" \
+                and path.is_relative_to(root / DEFINITIONS_DIR):
+            sources[str(rel)] = text
+        else:
+            texts.append(text)
+    return unreferenced_errors(sources, texts)
+
+
 # -- driver ------------------------------------------------------------------
 
 def run(root: Path) -> list[str]:
@@ -305,6 +375,7 @@ def run(root: Path) -> list[str]:
             str(path.relative_to(root))))
     errors.extend(hot_loop_errors(
         (root / CORE_PATH).read_text(encoding="utf-8")))
+    errors.extend(unreferenced_definitions(root))
     return errors
 
 
