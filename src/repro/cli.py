@@ -620,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampled simulation: N systematic strata — "
                           "exact head + N-1 detail windows with "
                           "functional warming between them (default "
-                          "N=%d); reports IPC/CPI with a 95%%-confidence "
-                          "error bar" % _SAMPLE_DEFAULT_WINDOWS)
+                          "N=%(const)s); reports IPC/CPI with a "
+                          "95%%-confidence error bar")
     sim.add_argument("--warmup", type=_int_at_least(0), default=None,
                      metavar="M",
                      help="bounded warmup budget (µ-ops) between --sample "

@@ -31,7 +31,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.analysis.legality import Reason
 from repro.fusion.idioms import match_idiom
@@ -43,6 +52,8 @@ from repro.fusion.taxonomy import (
     make_memory_pair,
 )
 from repro.isa.trace import MicroOp, Trace
+
+T = TypeVar("T")
 
 
 def _note(reason_counts: Optional[Dict[Reason, int]], reason: Reason) -> None:
@@ -225,12 +236,30 @@ def oracle_rejection_census(trace: Sequence[MicroOp],
     return census
 
 
-#: Per-trace memo of the unrestricted oracle pairing, keyed by
-#: ``(granularity, max_distance)``.  Weak keys: a trace's cached pairs
-#: die with the trace, so sweeps holding a shared Trace (the trace
-#: store / workload memo) pay for pairing once across every
-#: configuration while one-shot traces cost nothing to track.
-_PAIR_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Per-trace memo of the oracle's results: the unrestricted pairing
+#: (:func:`cached_oracle_pairs`) and the full census
+#: (:func:`analyze_trace`), each keyed by its parameters.  Weak keys: a
+#: trace's entries die with the trace, so sweeps and figures holding a
+#: shared Trace (the trace store / workload memo) pay for each once per
+#: process while one-shot traces cost nothing to track.
+_ORACLE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _memoised(trace: Sequence[MicroOp], key: tuple,
+              compute: Callable[[], T]) -> T:
+    """``compute()``, cached in ``trace``'s :data:`_ORACLE_MEMO` entry
+    under ``key``.  Sequences that cannot be weakly referenced (plain
+    lists of µ-ops) are computed afresh on every call."""
+    try:
+        memo = _ORACLE_MEMO.get(trace)
+    except TypeError:
+        return compute()
+    if memo is None:
+        memo = _ORACLE_MEMO[trace] = {}
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 def cached_oracle_pairs(trace: Sequence[MicroOp],
@@ -239,24 +268,14 @@ def cached_oracle_pairs(trace: Sequence[MicroOp],
     """Memoised :func:`oracle_memory_pairs` (unrestricted shape).
 
     The pairing is a pure function of the trace contents, so the result
-    is cached on the trace *object*.  Non-weakref-able sequences (plain
-    lists of µ-ops) fall back to a direct computation.
+    is cached on the trace *object*.  The returned list is shared by
+    every caller asking for the same (trace, granularity,
+    max_distance): read it, never mutate it.
     """
-    key = (granularity, max_distance)
-    try:
-        per_trace = _PAIR_MEMO.get(trace)
-    except TypeError:
-        return oracle_memory_pairs(trace, granularity=granularity,
-                                   max_distance=max_distance)
-    if per_trace is None:
-        per_trace = {}
-        _PAIR_MEMO[trace] = per_trace
-    pairs = per_trace.get(key)
-    if pairs is None:
-        pairs = oracle_memory_pairs(trace, granularity=granularity,
-                                    max_distance=max_distance)
-        per_trace[key] = pairs
-    return pairs
+    return _memoised(trace, ("pairs", granularity, max_distance),
+                     lambda: oracle_memory_pairs(
+                         trace, granularity=granularity,
+                         max_distance=max_distance))
 
 
 def predictive_pairs_from(pairs: Sequence[FusedPair]) -> Set[Tuple[int, int]]:
@@ -388,13 +407,24 @@ class OracleAnalysis:
 
 def analyze_trace(trace: Trace, granularity: int = 64,
                   max_distance: int = 64) -> OracleAnalysis:
-    """Run the full oracle census used by the motivation figures."""
-    consecutive = consecutive_memory_pairs(trace, granularity=granularity)
-    return OracleAnalysis(
-        total_uops=len(trace),
-        total_memory=trace.num_memory,
-        memory_pairs=cached_oracle_pairs(trace, granularity=granularity,
-                                         max_distance=max_distance),
-        consecutive_pairs=consecutive,
-        other_pairs=oracle_other_pairs(trace, exclude=consecutive),
-    )
+    """Run the full oracle census used by the motivation figures.
+
+    Memoised on the trace object like :func:`cached_oracle_pairs`, so
+    Figures 2, 4, 5 and Table I share one census per trace per process.
+    The returned analysis, pair lists included, is shared by every
+    caller asking for the same (trace, granularity, max_distance): read
+    it, never mutate it.
+    """
+    def census() -> OracleAnalysis:
+        consecutive = consecutive_memory_pairs(trace,
+                                               granularity=granularity)
+        return OracleAnalysis(
+            total_uops=len(trace),
+            total_memory=trace.num_memory,
+            memory_pairs=cached_oracle_pairs(
+                trace, granularity=granularity,
+                max_distance=max_distance),
+            consecutive_pairs=consecutive,
+            other_pairs=oracle_other_pairs(trace, exclude=consecutive),
+        )
+    return _memoised(trace, ("census", granularity, max_distance), census)

@@ -170,12 +170,13 @@ class Instruction:
     def is_branch(self) -> bool:
         return self.opclass is OpClass.BRANCH
 
-    # ``cached_property`` (not ``property``): one static instruction is
-    # shared by every dynamic µ-op at its PC, and µ-op construction
-    # reads both attributes — computing them once per *static*
-    # instruction instead of once per *dynamic* µ-op is a measurable
-    # win for trace capture and binary trace replay.  (Safe on a frozen
-    # dataclass: the cache writes to ``__dict__`` directly.)
+    # Everything a dynamic µ-op derives from its static instruction is a
+    # ``cached_property``: one static instruction is shared by every
+    # µ-op at its PC, so deriving these once per *static* instruction
+    # rather than once per *dynamic* µ-op is what makes µ-op
+    # construction (trace capture, store decode, import) cheap.  Safe on
+    # a frozen dataclass: the cache writes to ``__dict__`` directly, and
+    # equality and hashing read only the declared fields.
 
     @cached_property
     def sources(self) -> tuple[int, ...]:
@@ -193,6 +194,23 @@ class Instruction:
         if self.rd is None or self.rd == 0:
             return None
         return self.rd
+
+    @cached_property
+    def uop_fields(self) -> tuple:
+        """The static fields of every µ-op of this instruction, in
+        :class:`~repro.isa.trace.MicroOp` slot order: ``pc``,
+        ``opclass``, ``opclass_i``, ``dest``, ``srcs``, ``size``,
+        ``is_load``, ``is_store``, ``is_memory``, ``is_branch``,
+        ``is_control``, ``is_serializing``."""
+        opclass = self.opclass
+        is_load = opclass is OpClass.LOAD
+        is_store = opclass is OpClass.STORE
+        is_branch = opclass is OpClass.BRANCH
+        return (self.pc, opclass, opclass._value_, self.destination,
+                self.sources, self.mem_size,
+                is_load, is_store, is_load or is_store, is_branch,
+                is_branch or opclass is OpClass.JUMP,
+                opclass is OpClass.FENCE or opclass is OpClass.SYSTEM)
 
     def __str__(self) -> str:
         parts = [self.mnemonic]

@@ -44,11 +44,15 @@ class MicroOp:
     """
 
     __slots__ = (
-        "seq", "inst", "pc", "opclass", "opclass_i", "dest", "srcs",
-        "addr", "size", "taken", "target_pc",
-        # Predicates precomputed at construction: the pipeline and the
-        # fusion window test them once or more per µ-op per stage, and
-        # a slot read is several times cheaper than a property call.
+        "seq", "inst", "addr", "taken", "target_pc",
+        # Static fields, copied from the instruction's cached
+        # ``Instruction.uop_fields``.  ``opclass_i`` is the plain-int
+        # mirror of ``opclass``: the pipeline indexes port quotas and
+        # latency tables per µ-op, where IntEnum.__index__ is overhead.
+        # The predicates are slots because the pipeline and the fusion
+        # window test them once or more per µ-op per stage, and a slot
+        # read is several times cheaper than a property call.
+        "pc", "opclass", "opclass_i", "dest", "srcs", "size",
         "is_load", "is_store", "is_memory", "is_branch", "is_control",
         "is_serializing",
     )
@@ -57,28 +61,13 @@ class MicroOp:
                  taken: bool = False, target_pc: int = 0):
         self.seq = seq
         self.inst = inst
-        self.pc = inst.pc
-        opclass = inst.opclass
-        self.opclass = opclass
-        # Plain-int mirror: the pipeline indexes port quotas and
-        # latency tables per µ-op, where IntEnum.__index__ is overhead.
-        self.opclass_i = opclass._value_
-        self.dest = inst.destination
-        self.srcs = inst.sources
         self.addr = addr
-        self.size = inst.mem_size
         self.taken = taken
         self.target_pc = target_pc
-        is_load = opclass is OpClass.LOAD
-        is_store = opclass is OpClass.STORE
-        is_branch = opclass is OpClass.BRANCH
-        self.is_load = is_load
-        self.is_store = is_store
-        self.is_memory = is_load or is_store
-        self.is_branch = is_branch
-        self.is_control = is_branch or opclass is OpClass.JUMP
-        self.is_serializing = (opclass is OpClass.FENCE
-                               or opclass is OpClass.SYSTEM)
+        (self.pc, self.opclass, self.opclass_i, self.dest, self.srcs,
+         self.size, self.is_load, self.is_store, self.is_memory,
+         self.is_branch, self.is_control,
+         self.is_serializing) = inst.uop_fields
 
     @property
     def base_reg(self) -> Optional[int]:

@@ -23,6 +23,7 @@ programs:
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import struct
@@ -323,13 +324,22 @@ def load_trace_binary(source: Union[str, bytes, BinaryIO]) -> Trace:
     if pos + num_uops * _UOP_STRUCT.size != len(body):
         raise TraceFormatError("binary trace µ-op section length mismatch")
 
+    # The loop below allocates one tracked object per µ-op and creates
+    # no reference cycles, so the cyclic GC's generational scans of the
+    # growing list find nothing.  Pause it, as ``PipelineCore.run``
+    # does, and restore the caller's state on every exit.
     uops: list[MicroOp] = []
     append = uops.append
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for seq, (index, addr, target_pc, flags) in enumerate(
-                _UOP_STRUCT.iter_unpack(body[pos:])):
-            append(MicroOp(seq, table[index], addr=addr,
-                           taken=bool(flags & 1), target_pc=target_pc))
+                _UOP_STRUCT.iter_unpack(memoryview(body)[pos:])):
+            append(MicroOp(seq, table[index], addr, bool(flags & 1),
+                           target_pc))
     except IndexError:
         raise TraceFormatError("µ-op references unknown static entry") from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return Trace(uops, name=name)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import sys
@@ -20,6 +21,23 @@ def test_workloads_listing(capsys):
     out = capsys.readouterr().out
     assert "657.xz_1" in out
     assert "MiBench" in out
+
+
+def _help_argvs():
+    """Every subcommand, plus each action of ``cache`` and ``trace``."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return ([[name] for name in sorted(commands)]
+            + [["cache", action] for action in ("info", "clear")]
+            + [["trace", action] for action in ("info", "clear", "export")])
+
+
+@pytest.mark.parametrize("argv", _help_argvs(), ids="-".join)
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: repro " + argv[0])
 
 
 def test_simulate_all_modes(capsys):

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (figures, tables, sweeps, stats)."""
 
+import sys
+
 import pytest
 
 from repro.config import FusionMode
@@ -81,6 +83,31 @@ def test_figures_take_cells_from_the_engine_they_are_given():
 
 
 # ---- figures (structure on a small subset) -----------------------------------
+
+def test_census_figures_share_one_census_per_trace(monkeypatch):
+    # Figures 2, 4, 5 and Table I read one memoised census per trace:
+    # two pairing passes per workload (consecutive + unrestricted).
+    from repro.fusion import oracle
+    from repro.workloads.catalog import clear_trace_memo
+
+    real = oracle.oracle_memory_pairs
+    calls = []
+
+    def counting(trace, *args, **kwargs):
+        calls.append(trace.name)
+        return real(trace, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    clear_trace_memo()
+    workloads = ["bitcount", "crc32"]
+    for render in (figure2, figure4, figure5, table1):
+        render(workloads)
+    assert sorted(calls) == sorted(workloads * 2)
+
 
 def test_figure2_structure():
     result = figure2(SUBSET)

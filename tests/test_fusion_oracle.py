@@ -278,6 +278,25 @@ def test_window_finds_adjacent_pairs():
     assert {p.idiom for p in pairs} == {"load_pair", "lui_addi"}
 
 
+def test_analyze_trace_is_memoised_per_trace_and_parameters():
+    trace = trace_of("""
+        li x1, 0x20000
+        ld x4, 0(x1)
+        addi x9, x9, 1
+        ld x5, 8(x1)
+        ecall
+    """)
+    census = analyze_trace(trace)
+    assert analyze_trace(trace) is census
+    assert analyze_trace(trace, granularity=64, max_distance=64) is census
+    assert analyze_trace(trace, granularity=32) is not census
+    assert analyze_trace(trace, max_distance=1) is not census
+    assert analyze_trace(trace, max_distance=1) \
+        is analyze_trace(trace, max_distance=1)
+    assert len(analyze_trace(trace, max_distance=1).ncsf_pairs) == 0
+    assert len(census.ncsf_pairs) == 1
+
+
 def test_window_memory_only():
     trace = trace_of("""
         li x1, 0x20000

@@ -1,7 +1,8 @@
 """Tests for the Trace/Program helper surface."""
 
 from repro.isa import OpClass, assemble, run_program
-from repro.isa.trace import footprint
+from repro.isa.instructions import MEM_SIZE, Instruction, opclass_for
+from repro.isa.trace import MicroOp, footprint
 
 SOURCE = """
     li a0, 0x20000
@@ -33,6 +34,38 @@ def test_memory_fraction_and_counts():
     trace = make_trace()
     assert trace.num_memory == trace.num_loads + trace.num_stores
     assert trace.memory_fraction() == trace.num_memory / len(trace)
+
+
+def test_uop_static_fields_follow_the_instruction():
+    # One instruction per op class, with x0 as a destination and as a
+    # source; each static slot is re-derived from the instruction here.
+    shapes = [("add", 5, 6, 0), ("mul", 0, 6, 7), ("div", 5, 6, 7),
+              ("fadd.d", 40, 41, 42), ("fmul.d", 40, 41, 42),
+              ("fdiv.d", 40, 41, 42), ("lw", 5, 6, None),
+              ("sd", None, 6, 7), ("beq", None, 0, 7),
+              ("jalr", 1, 6, None), ("fence", None, None, None),
+              ("ecall", None, None, None), ("nop", None, None, None)]
+    assert {opclass_for(m) for m, *_ in shapes} == set(OpClass)
+    for pc, (mnemonic, rd, rs1, rs2) in enumerate(shapes):
+        inst = Instruction(mnemonic=mnemonic, rd=rd, rs1=rs1, rs2=rs2,
+                           opclass=opclass_for(mnemonic),
+                           mem_size=MEM_SIZE.get(mnemonic, 0), pc=4 * pc)
+        uop = MicroOp(pc, inst, addr=64, taken=True, target_pc=8)
+        opclass = inst.opclass
+        assert (uop.seq, uop.inst, uop.addr, uop.taken, uop.target_pc) \
+            == (pc, inst, 64, True, 8)
+        assert uop.pc == 4 * pc
+        assert uop.opclass is opclass
+        assert type(uop.opclass_i) is int and uop.opclass_i == opclass
+        assert uop.dest == (rd or None)
+        assert uop.srcs == tuple(r for r in (rs1, rs2) if r)
+        assert uop.size == MEM_SIZE.get(mnemonic, 0)
+        assert uop.is_load is (opclass is OpClass.LOAD)
+        assert uop.is_store is (opclass is OpClass.STORE)
+        assert uop.is_memory is opclass.is_memory
+        assert uop.is_branch is (opclass is OpClass.BRANCH)
+        assert uop.is_control is opclass.is_control
+        assert uop.is_serializing is opclass.is_serializing
 
 
 def test_trace_slice_keeps_sequence_numbers():

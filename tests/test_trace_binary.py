@@ -1,6 +1,7 @@
 """Tests for the compact binary trace codec, the JSON-lines version
 gate, and the Spike-log ``max_uops`` lookahead boundary."""
 
+import gc
 import io
 import json
 import zlib
@@ -9,11 +10,13 @@ import pytest
 
 from repro import FusionMode, ProcessorConfig, simulate
 from repro.isa import assemble, run_program
+from repro.isa.trace import MicroOp
 from repro.isa.trace_io import (
     TRACE_BINARY_VERSION,
     TRACE_JSON_VERSION,
     TraceFormatError,
     _HEADER_STRUCT,
+    _UOP_STRUCT,
     from_spike_log,
     load_trace,
     load_trace_binary,
@@ -53,16 +56,16 @@ def test_binary_roundtrip_all_fields():
     assert loaded.name == trace.name
     assert len(loaded) == len(trace)
     for original, copy in zip(trace, loaded):
-        assert original.seq == copy.seq
-        assert original.pc == copy.pc
         o, c = original.inst, copy.inst
         assert (o.mnemonic, o.rd, o.rs1, o.rs2, o.imm, o.target,
                 o.opclass, o.mem_size, o.pc) \
             == (c.mnemonic, c.rd, c.rs1, c.rs2, c.imm, c.target,
                 c.opclass, c.mem_size, c.pc)
-        assert original.addr == copy.addr
-        assert original.taken == copy.taken
-        assert original.target_pc == copy.target_pc
+        for slot in MicroOp.__slots__:
+            if slot == "inst":
+                continue
+            want, got = getattr(original, slot), getattr(copy, slot)
+            assert (type(want), want) == (type(got), got), slot
 
 
 def test_binary_roundtrip_interns_static_instructions():
@@ -90,6 +93,37 @@ def test_binary_roundtrip_via_file(tmp_path):
     loaded = load_trace_binary(path)
     assert len(loaded) == len(trace)
     assert loaded.name == trace.name
+
+
+def with_bad_static_index(payload):
+    """``payload`` re-packed so its last µ-op record points one past the
+    static table, with a CRC matching the edited body."""
+    header = list(_HEADER_STRUCT.unpack_from(payload))
+    name_len, num_insts = header[2], header[3]
+    start = _HEADER_STRUCT.size + name_len
+    body = bytearray(zlib.decompress(payload[start:]))
+    last = len(body) - _UOP_STRUCT.size
+    _index, addr, target_pc, flags = _UOP_STRUCT.unpack_from(body, last)
+    _UOP_STRUCT.pack_into(body, last, num_insts, addr, target_pc, flags)
+    header[6] = zlib.crc32(body)
+    return (_HEADER_STRUCT.pack(*header) + payload[_HEADER_STRUCT.size:start]
+            + zlib.compress(bytes(body)))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_binary_load_restores_gc_state(enabled):
+    payload = encode(sample_trace())
+    bad = with_bad_static_index(payload)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(load_trace_binary(payload)) > 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(TraceFormatError, match="unknown static entry"):
+            load_trace_binary(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # ----------------------------------------------------------- error paths --
