@@ -41,7 +41,7 @@ from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.lsq import LoadBlock, LoadStoreUnit, LSQEntry
 from repro.pipeline.rename import RenameUnit
-from repro.pipeline.uop import FusionKind, PipeUop, make_tail_ghost
+from repro.pipeline.uop import _NO_EDGES, FusionKind, PipeUop, make_tail_ghost
 from repro.pipeline.uop_cache import CachedSlot, UopCache
 from repro.predictors.branch import BranchPredictor
 from repro.predictors.fp_variants import make_fusion_predictor
@@ -447,11 +447,12 @@ class PipelineCore:
         (:mod:`repro.sampling`) measures deltas across.
 
         The cyclic garbage collector is paused for the duration: the
-        simulation allocates millions of small objects whose only
-        reference cycles (parked consumer <-> producer wait lists) are
-        broken explicitly at wake/flush, so generational scans find
-        nothing and cost double-digit percent.  The previous GC state
-        is restored on exit, and one collection sweeps any stragglers.
+        simulation allocates millions of small objects and makes no
+        reference cycle that outlives a µ-op — every producer edge and
+        wait list is dropped when its µ-op commits or is squashed — so
+        generational scans find nothing and cost double-digit percent.
+        Refcounting frees each µ-op as it leaves the window, so the
+        caller's GC state is restored on exit without a collection.
         """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -461,7 +462,6 @@ class PipelineCore:
         finally:
             if gc_was_enabled:
                 gc.enable()
-                gc.collect()
 
     def _run(self, max_cycles: Optional[int] = None,
              until_instructions: Optional[int] = None) -> CoreStats:
@@ -492,6 +492,7 @@ class PipelineCore:
         # Containers assigned once in __init__ (never rebound by a
         # flush) are safe to hoist for the life of the run.
         draining = self._draining
+        fetch_buffer = self.fetch_buffer
         rename_latch = self.rename_latch
         aq = self.aq
         rob = self.rob
@@ -536,7 +537,7 @@ class PipelineCore:
                 self._rename()
             else:
                 self._cycle_rename_block = False
-            if self.fetch_buffer:
+            if fetch_buffer:
                 self._decode()
             self._fetch()
             if has_fp and (uch_lq or uch_sq):
@@ -1512,8 +1513,6 @@ class PipelineCore:
             self._ev.emit(self.now, "flush", seq, cause)
         # Frontend.
         self.fetch_index = min(self.fetch_index, seq)
-        self.fetch_buffer = deque(
-            mo for mo in self.fetch_buffer if mo.seq < seq)
         self.fetch_resume_cycle = max(
             self.fetch_resume_cycle,
             self.now + self.config.branch_mispredict_penalty)
@@ -1531,6 +1530,11 @@ class PipelineCore:
             if uop.squashed:
                 return  # IQ entries are also in the ROB: release once
             uop.squashed = True
+            # Leaving the window: drop every edge so the µ-op frees by
+            # refcount (DESIGN §4d, "Bounded live state").
+            uop.producers = uop.extra_producers = _NO_EDGES
+            uop.late_producers = _NO_EDGES
+            uop.waiters = None
             if uop.in_iq:
                 uop.in_iq = False
                 self.iq_count -= 1
@@ -1694,6 +1698,12 @@ class PipelineCore:
                 break  # _commit_group_ready recorded the blocker's bucket
             rob.popleft()
             uop.committed = True
+            # Leaving the window: drop the producer edges (DESIGN §4d,
+            # "Bounded live state").  Only a draining store's
+            # ``late_producers`` is read after commit, and commit just
+            # proved it ready, so the empty tuple gives the same verdict.
+            uop.producers = uop.extra_producers = _NO_EDGES
+            uop.late_producers = _NO_EDGES
             if ev is not None:
                 ev.emit(now, "commit", uop.seq)
             if clog is not None:
@@ -1734,6 +1744,8 @@ class PipelineCore:
             committed += 1
         if committed:
             self._last_commit_cycle = now
+            if rob:
+                rename_unit.retire_below(rob[0].seq)
         self._committed_this_cycle = committed
 
     def _commit_group_ready(self, uop: PipeUop) -> bool:

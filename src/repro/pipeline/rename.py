@@ -20,8 +20,9 @@ actual values live in the functional trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import ProcessorConfig
 from repro.isa.registers import FP_REG_BASE
@@ -48,8 +49,13 @@ class RenameUnit:
         self.free_int = config.int_prf_size - 32   # architectural mappings
         self.free_fp = config.fp_prf_size - 32
         self._writers: Dict[int, PipeUop] = {}
-        # Undo log for pipeline flushes: (squash_key_seq, reg, previous).
-        self._writer_log: List[Tuple[int, int, Optional[PipeUop]]] = []
+        # Undo log for pipeline flushes: (squash_key_seq, reg, previous),
+        # in rename order.  ``retire_below`` trims the prefix no flush
+        # can reach, so the log spans only the in-flight window.
+        self._writer_log: Deque[Tuple[int, int, Optional[PipeUop]]] = deque()
+        #: Highest boundary ``retire_below`` has trimmed to: a flush
+        #: below it would need undo entries that are gone.
+        self._retired_below = 0
         # NCSF state.
         self.active_ncs = 0
         self.max_active_ncs = 0
@@ -310,8 +316,26 @@ class RenameUnit:
 
     # -- flush recovery ---------------------------------------------------------
 
+    def retire_below(self, seq: int) -> None:
+        """Drop the undo entries keyed below ``seq``, the ROB head's.
+
+        Every flush targets an in-flight µ-op, so none reaches below
+        the ROB head; keys are appended in rename order, so the dropped
+        prefix is exactly what ``flush_from`` could never pop.
+        """
+        log = self._writer_log
+        while log and log[0][0] < seq:
+            log.popleft()
+        if seq > self._retired_below:
+            self._retired_below = seq
+
     def flush_from(self, seq: int) -> None:
         """Squash every rename effect with squash key >= ``seq``."""
+        if seq < self._retired_below:
+            raise RuntimeError(
+                "flush from seq %d reaches below the retired undo-log "
+                "boundary %d: the RAT cannot be restored"
+                % (seq, self._retired_below))
         log = self._writer_log
         while log and log[-1][0] >= seq:
             _, reg, previous = log.pop()

@@ -21,6 +21,8 @@ from repro.isa.trace import MicroOp
 #: before the first append (Rename does so unconditionally for
 #: ``producers``), so the common construct-then-discard allocations are
 #: avoided.  Readers only iterate/test truthiness, which tuples serve.
+#: Commit and squash rebind all three back to it, so a µ-op that has
+#: left the window keeps no other µ-op alive (DESIGN §4d).
 _NO_EDGES: Tuple = ()
 
 

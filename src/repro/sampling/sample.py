@@ -198,9 +198,10 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
     uops = trace.uops
     window_cpis: List[float] = []
     bucket_totals: dict = {}
-    # Pause the cyclic GC across the whole loop: each inner ``run()``
-    # would otherwise re-enable it on exit and pay a full collection
-    # over the multi-million-object parent trace — per window, twice.
+    # Pause the cyclic GC across the whole loop: between windows the
+    # sub-trace copies and the warmer allocate enough to trigger
+    # generational collections, and each full one walks the
+    # multi-million-object parent trace, which holds no cycles.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()

@@ -1,5 +1,7 @@
 """White-box tests for the NCSF rename machinery (Section IV-B2)."""
 
+import pytest
+
 from repro.config import ProcessorConfig
 from repro.isa import assemble, run_program
 from repro.pipeline.rename import RenameUnit
@@ -255,3 +257,23 @@ def test_flush_restores_writer_mappings():
     assert unit.writer_of(5) is first
     unit.flush_from(first.seq)
     assert unit.writer_of(5) is None
+
+
+def test_flush_below_retired_undo_log_raises():
+    unit = RenameUnit(ProcessorConfig())
+    uops = uops_for("""
+        add x5, x6, x7
+        add x5, x5, x5
+        add x5, x5, x6
+        ecall
+    """)
+    first, second, third = uops[:3]
+    for uop in (first, second, third):
+        unit.rename(uop)
+    unit.retire_below(second.seq)
+    assert [key for key, _reg, _prev in unit._writer_log] == [
+        second.seq, third.seq]
+    unit.flush_from(third.seq)  # at or above the boundary: restorable
+    assert unit.writer_of(5) is second
+    with pytest.raises(RuntimeError, match="below the retired"):
+        unit.flush_from(first.seq)
