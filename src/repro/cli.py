@@ -14,7 +14,6 @@
     python -m repro cache clear               # drop every cached result
     python -m repro trace                     # inspect the trace store
     python -m repro trace export dijkstra     # trace -> portable JSON-lines
-    python -m repro bench --quick             # wall-clock perf harness
     python -m repro profile 605.mcf --mode Helios --top 20
     python -m repro debug 657.xz_1 --events-out xz.trace.json
     python -m repro analyze dijkstra          # legality + differential
@@ -29,7 +28,9 @@ Each ``experiment`` command builds one
 ``--retries``) and hands it to the figure or table, which takes its
 cells from one sweep; ``--report-json`` writes that sweep's report.
 ``simulate`` runs one trace in-process: serial full detail (exact) or
-``--sample`` (estimated, with a confidence interval).
+``--sample`` (estimated, with a confidence interval).  No subcommand
+times the program: ``reprobench/run.py`` does, end to end and per
+layer, and ``tools/check_perf.py`` holds the CI perf gates.
 """
 
 from __future__ import annotations
@@ -348,69 +349,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf import (compare_with_previous, load_bench, run_bench,
-                            write_bench)
-    workloads = _workload_list(args.workloads)
-    previous = load_bench(args.output)
-    payload = run_bench(workloads=workloads, quick=args.quick,
-                        max_uops=args.max_uops, sample=args.sample)
-    compare_with_previous(payload, previous)
-    path = write_bench(payload, args.output)
-    totals = payload["totals"]
-    print("bench: %d workload(s), modes: %s"
-          % (len(payload["workloads"]), ", ".join(payload["modes"])))
-    print("  trace capture (cold interp) %7.3f s"
-          % totals["trace_build_cold_s"])
-    print("  trace replay  (store load)  %7.3f s  (%.1fx faster)"
-          % (totals["store_load_s"],
-             payload["capture_vs_replay_speedup"] or 0.0))
-    print("  oracle pair extraction      %7.3f s"
-          % totals["oracle_pairs_s"])
-    for mode, seconds in totals["pipeline_run_s"].items():
-        print("  pipeline run %-14s %7.3f s" % (mode, seconds))
-    obs = payload.get("observability") or {}
-    if obs:
-        print("  instrumentation overhead (%s, %s, best of %d):"
-              % (obs["workload"], obs["mode"], obs["reps"]))
-        print("    no-op  %+6.2f%%  (%.3f s vs %.3f s bare)"
-              % (obs["noop_overhead_pct"], obs["noop_run_s"],
-                 obs["bare_run_s"]))
-        print("    traced %+6.2f%%  (%.3f s)"
-              % (obs["traced_overhead_pct"], obs["traced_run_s"]))
-    throughput = payload.get("throughput") or {}
-    if throughput.get("aggregate_uops_per_s"):
-        print("  aggregate throughput: %d µops/s  (%d µ-ops in %.3f s)"
-              % (throughput["aggregate_uops_per_s"],
-                 throughput["aggregate_uops"],
-                 throughput["aggregate_run_s"]))
-    sampled = payload.get("sampled") or {}
-    if sampled.get("rows"):
-        print("  sampled vs full detail (%s, ~%d µ-ops, %d strata):"
-              % (sampled["mode"], sampled["target_uops"],
-                 sampled["windows"]))
-        for name, row in sampled["rows"].items():
-            print("    %-12s %5.1fx  (%.2f s vs %.2f s)  "
-                  "IPC %.4f vs %.4f  err %+.2f%% (bound ±%.2f%%)%s"
-                  % (name, row["speedup"] or 0.0, row["sampled_run_s"],
-                     row["full_run_s"], row["ipc_estimate"],
-                     row["full_ipc"], 100 * row["ipc_err_vs_full"],
-                     100 * row["ipc_rel_err_bound"],
-                     "" if row["within_bound"] else "  OUT OF BOUND"))
-    delta = payload.get("vs_previous")
-    if delta and delta.get("aggregate_speedup"):
-        verdict = ("cycles identical" if delta["cycles_identical"]
-                   else "TIMING CHANGED: %d cell(s) moved"
-                   % len(delta["cycle_mismatches"]))
-        print("  vs previous bench (%s): %.3fx aggregate µops/s, "
-              "%d cells compared, %s"
-              % (delta.get("previous_timestamp"),
-                 delta["aggregate_speedup"], delta["cells_compared"],
-                 verdict))
-    print("wrote %s" % path)
-    return 0
-
-
 def _cmd_profile(args) -> int:
     """cProfile one (workload, mode) pipeline run with stage attribution."""
     import json
@@ -691,26 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace store directory (default: "
                             "$REPRO_TRACE_DIR or <cache dir>/traces)")
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock perf harness -> BENCH_pipeline.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke subset (3 workloads, 2 modes)")
-    bench.add_argument("--workloads",
-                       help="comma-separated subset (default: "
-                            "$REPRO_BENCH_WORKLOADS or the "
-                            "representative 12)")
-    bench.add_argument("--max-uops", type=_positive, default=None, metavar="N",
-                       help="dynamic µ-op cap per trace (default %d, "
-                            "repro.config.DEFAULT_MAX_UOPS)"
-                            % DEFAULT_MAX_UOPS)
-    bench.add_argument("--sample", action="store_true",
-                       help="also benchmark sampled simulation on "
-                            "scaled traces: speedup vs full detail + "
-                            "observed IPC error vs the reported bound")
-    bench.add_argument("--output", default="BENCH_pipeline.json",
-                       metavar="FILE", help="output path")
-    bench.set_defaults(func=_cmd_bench)
 
     profile = sub.add_parser(
         "profile", help="cProfile one pipeline run: host time by stage, "

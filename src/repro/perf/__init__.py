@@ -1,24 +1,15 @@
-"""Wall-clock performance harness (``repro bench``).
+"""Host-side performance tooling that is not a timing harness.
 
-Times the stages every sweep pays for — cold trace capture, trace
-store serialization/replay, oracle pair extraction, and the
-cycle-level pipeline run per fusion mode — and emits
-``BENCH_pipeline.json`` so each PR's perf delta is measurable against
-the accumulated trajectory.
+* :mod:`repro.perf.profile` — ``repro profile``: cProfile one pipeline
+  run and attribute its host seconds to pipeline stages.
+* :mod:`repro.perf.golden` — the cycle-exactness snapshot behind
+  ``tests/golden_cycles.json``.
+
+Timing lives in ``reprobench/`` (end to end and per layer, with noise
+bounds); ``tools/check_perf.py`` is the CI tripwire that pins
+full-length cycles and the sampled-simulation gates.
 """
 
-from repro.perf.harness import (
-    BENCH_OUTPUT_DEFAULT,
-    DEFAULT_BENCH_WORKLOADS,
-    QUICK_BENCH_WORKLOADS,
-    SAMPLED_BENCH_WORKLOADS,
-    bench_workloads,
-    compare_with_previous,
-    load_bench,
-    measure_sampled,
-    run_bench,
-    write_bench,
-)
 from repro.perf.profile import (
     dump_pstats,
     profile_run,
@@ -27,18 +18,8 @@ from repro.perf.profile import (
 )
 
 __all__ = [
-    "BENCH_OUTPUT_DEFAULT",
-    "DEFAULT_BENCH_WORKLOADS",
-    "QUICK_BENCH_WORKLOADS",
-    "SAMPLED_BENCH_WORKLOADS",
-    "bench_workloads",
-    "compare_with_previous",
     "dump_pstats",
-    "load_bench",
-    "measure_sampled",
     "profile_run",
     "render_profile",
-    "run_bench",
     "serializable",
-    "write_bench",
 ]

@@ -19,8 +19,9 @@ confused and their answers routinely differ.
 
 Profiling is measurement, not simulation: the profiled run is
 ~2-3x slower than a bare run and its wall-clock numbers must never be
-compared against ``repro bench`` timings.  Cycle counts, of course,
-are identical — the profiler cannot perturb simulated time.
+compared against reprobench's ``pipeline.run_s.<mode>`` timings.
+Cycle counts, of course, are identical — the profiler cannot perturb
+simulated time.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def render_profile(payload: Dict) -> str:
                  % (payload["workload"], payload["mode"], payload["uops"],
                     payload["cycles"], payload["ipc"]))
     lines.append("profiled run: %.3f s  (~%s µops/s under the profiler;"
-                 " not comparable to `repro bench`)"
+                 " not comparable to reprobench's pipeline.run_s.<mode>)"
                  % (payload["profiled_run_s"],
                     payload["profiled_uops_per_s"]))
     lines.append("")

@@ -182,7 +182,8 @@ class CoreStats:
     #: commit watchdog's memory-carried dependence cycles).
     deadlock_unfusions: int = 0
     #: Top-down commit-slot attribution (bucket name -> slot count, see
-    #: TOPDOWN_BUCKETS).  Empty when the core ran with topdown=False.
+    #: TOPDOWN_BUCKETS).  Every run fills it; empty only on a
+    #: ``CoreStats()`` that never ran.
     cpi_buckets: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
@@ -225,7 +226,6 @@ class PipelineCore:
     def __init__(self, trace: Trace, config: ProcessorConfig,
                  oracle_pairs: Optional[List] = None,
                  observer: Optional["PipelineObserver"] = None,
-                 topdown: bool = True,
                  commit_log: Optional["CommitLog"] = None,
                  sanitizer: Optional["Sanitizer"] = None,
                  warm_state: Optional["WarmState"] = None):
@@ -237,7 +237,6 @@ class PipelineCore:
         # repro.obs) and the always-cheap top-down slot accounting.
         self.observer = observer
         self._ev = observer
-        self._topdown = topdown
         #: Commit log (repro.obs.commit_log): retirement/drain/UCH
         #: record for the differential checker.  Off by default.
         self._clog = commit_log
@@ -471,7 +470,6 @@ class PipelineCore:
             target_instructions = min(total_instructions,
                                       max(0, until_instructions))
         limit = max_cycles or (200 * total_instructions + 10_000)
-        topdown = self._topdown
         slots = self._slots
         config = self.config
         commit_width = config.commit_width
@@ -542,14 +540,12 @@ class PipelineCore:
             self._fetch()
             if has_fp and (uch_lq or uch_sq):
                 self._train_uch()
-            if topdown:
-                # Top-down slot attribution, inlined — committed slots
-                # are ``base``, the rest go to the dominant blocker.
-                committed = self._committed_this_cycle
-                slots["base"] += committed
-                if committed < commit_width:
-                    slots[self._stall_slot_bucket()] += (
-                        commit_width - committed)
+            # Top-down slot attribution, inlined — committed slots are
+            # ``base``, the rest go to the dominant blocker.
+            committed = self._committed_this_cycle
+            slots["base"] += committed
+            if committed < commit_width:
+                slots[self._stall_slot_bucket()] += commit_width - committed
             if observed:
                 if self._ev is not None:
                     self._sample_occupancy()
@@ -565,15 +561,14 @@ class PipelineCore:
         if self._san is not None and stats.instructions >= total_instructions:
             self._san.final(self)
         stats.cycles = self.now
-        if self._topdown:
-            stats.cpi_buckets = dict(self._slots)
-            total = self.now * commit_width
-            accounted = sum(self._slots.values())
-            if accounted != total:
-                raise RuntimeError(
-                    "top-down slot accounting leaked: attributed %d slots "
-                    "over %d cycles x %d commit slots = %d"
-                    % (accounted, self.now, commit_width, total))
+        stats.cpi_buckets = dict(slots)
+        total = self.now * commit_width
+        accounted = sum(slots.values())
+        if accounted != total:
+            raise RuntimeError(
+                "top-down slot accounting leaked: attributed %d slots "
+                "over %d cycles x %d commit slots = %d"
+                % (accounted, self.now, commit_width, total))
         return stats
 
     # ----------------------------------------------------- event fast-forward --
@@ -691,13 +686,12 @@ class PipelineCore:
                 stats.dispatch_stall_lq += skipped
             elif reason == "sq":
                 stats.dispatch_stall_sq += skipped
-        if self._topdown:
-            # Zero µ-ops committed in the observed cycle (a fast-forward
-            # precondition), so every slot of every skipped cycle lands
-            # in the observed cycle's stall bucket — whose inputs are
-            # all part of the unchanged snapshot.
-            self._slots[self._stall_slot_bucket()] += (
-                self.config.commit_width * skipped)
+        # Zero µ-ops committed in the observed cycle (a fast-forward
+        # precondition), so every slot of every skipped cycle lands in
+        # the observed cycle's stall bucket — whose inputs are all part
+        # of the unchanged snapshot.
+        self._slots[self._stall_slot_bucket()] += (
+            self.config.commit_width * skipped)
         self.now += skipped
 
     # ------------------------------------------------------- observability --

@@ -211,3 +211,51 @@ def test_same_name_defined_twice_needs_a_reference():
                "src/repro/b.py": "def twin_rate():\n    return 2\n"}
     assert len(lint_repro.unreferenced_errors(sources)) == 2
     assert lint_repro.unreferenced_errors(sources, ["twin_rate()"]) == []
+
+
+HOOK_CORE_SRC = '''
+class PipelineCore:
+    def _run(self):
+        while True:
+            self._fetch()
+            if self._ev is not None:
+                self._sample()
+
+    def _fetch(self):
+        ev = self._ev
+        if ev is not None and self.now:
+            ev.emit(self.now, "fetch")
+
+    def _sample(self):
+        obs = self._ev
+        obs.sample("rob", 1)
+'''
+
+
+def test_hook_guard_flags_unguarded_emit():
+    src = HOOK_CORE_SRC.replace(
+        'ev = self._ev\n        if ev is not None and self.now:\n'
+        '            ev.emit(self.now, "fetch")',
+        'self._ev.emit(self.now, "fetch")')
+    errors = lint_repro.hook_guard_errors(src)
+    assert len(errors) == 1
+    assert "_fetch" in errors[0] and "self._ev" in errors[0]
+
+
+def test_hook_guard_accepts_guarded_alias():
+    # ``ev = self._ev`` tested as one operand of an ``and``, and a
+    # helper whose only call site sits under ``self._ev is not None``.
+    assert lint_repro.hook_guard_errors(HOOK_CORE_SRC) == []
+
+
+def test_hook_guard_flags_unguarded_call_into_helper():
+    src = HOOK_CORE_SRC.replace(
+        "if self._ev is not None:\n                self._sample()",
+        "self._sample()")
+    errors = lint_repro.hook_guard_errors(src)
+    assert len(errors) == 1 and "_sample" in errors[0]
+
+
+def test_hook_guard_core_passes():
+    src = (ROOT / lint_repro.CORE_PATH).read_text(encoding="utf-8")
+    assert lint_repro.hook_guard_errors(src) == []

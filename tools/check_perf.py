@@ -1,145 +1,197 @@
 #!/usr/bin/env python
-"""CI perf gate over a ``repro bench`` payload.
+"""CI perf gate: full-length cycles, a µops/s tripwire, sampled gates.
 
 Usage::
 
-    python tools/check_perf.py [BENCH_pipeline.json]
+    PYTHONPATH=src python tools/check_perf.py
 
-Two checks, both against the payload the bench just wrote:
+Takes no arguments, reads no environment variable and writes no file.
+It measures and checks in one process, prints one line per cell or row,
+and exits non-zero on any failure.  Three checks:
 
-* **Throughput floor** — ``throughput.aggregate_uops_per_s`` must be at
-  least ``$REPRO_PERF_FLOOR`` (µops/s).  The default floor is a
-  catastrophic-regression tripwire, not a performance target: CI
-  runners vary widely in speed, so it is set well below what any
-  healthy run achieves while still catching an accidental return of
-  interpreter-loop overhead (the pre-overhaul hot loop ran at ~20-30k
-  µops/s per mode on a developer machine; an order-of-magnitude slide
-  under that shows up even on the slowest runner).
-* **Cycle exactness vs the committed baseline** — when the bench ran
-  against an existing ``BENCH_pipeline.json`` (the CLI records the
-  delta under ``vs_previous``), any moved ``cycles`` cell fails the
-  gate.  Throughput wins that change timing are timing changes and
-  must arrive via an explicit golden-file update instead.
+1. **Full-length cycle exactness.**  605.mcf, 657.xz_1 and dijkstra run
+   under NoFusion and Helios at the default capture.  Each cell's
+   ``cycles`` must equal its pin in ``reprobench/reference.json``, and
+   :func:`repro.perf.golden.stats_sha` of its full stats must equal the
+   first 16 characters of the pinned ``digest`` (both sides hash the
+   same sorted compact JSON).  A cell with no pin fails.
+2. **µops/s tripwire.**  Σ committed µ-ops / Σ ``PipelineCore.run``
+   seconds over those six cells must reach :data:`UOPS_PER_S_FLOOR`.
+   This is a catastrophic-regression floor, not a target: CI runners
+   are slow and shared, and a healthy run clears it several times over.
+   Speed itself is measured by ``reprobench/``, with noise bounds.
+3. **Sampled simulation.**  The same workloads, scaled to
+   :data:`SAMPLED_UOPS` µ-ops, run under Helios in full detail (oracle
+   pairing + pipeline run) and through ``sampled_simulate`` with
+   :data:`SAMPLED_WINDOWS` strata of :data:`SAMPLED_DETAIL_UOPS`-µ-op
+   windows.  The speedup must reach :data:`SAMPLED_SPEEDUP_FLOOR`
+   unless the estimate fell back to exact full detail, and the IPC
+   error against full detail must lie within the estimate's reported
+   95 %-confidence bound.
 
-A third, conditional check covers sampled simulation.  When the
-payload has a ``sampled`` section (``repro bench --sample``):
-
-* every workload's sampled speedup must reach the floor
-  (``$REPRO_SAMPLED_SPEEDUP_FLOOR``, default 3x — the quick CI gate;
-  full-length traces clear 5x comfortably), and
-* every IPC estimate must land within its own reported
-  95 %-confidence error bound (``within_bound``).
-
-Payloads *without* a ``sampled`` section — every bench run before the
-sampling subsystem existed, or any run without ``--sample`` — pass
-this check vacuously.
+The check functions are pure (measured rows in, failure text out) so
+``tests/test_check_perf.py`` can exercise them without simulating.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
+import time
 
-DEFAULT_FLOOR = 10_000  # µops/s; override with REPRO_PERF_FLOOR
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCE_PATH = os.path.join(REPO_ROOT, "reprobench", "reference.json")
 
-#: Minimum sampled-vs-full-detail speedup per workload; override with
-#: REPRO_SAMPLED_SPEEDUP_FLOOR.  Quick-mode scaled traces (500k µ-ops)
-#: clear ~6-7x on a developer machine; 3x keeps headroom for slow CI
-#: runners while still catching a sampler that stopped skipping work.
-DEFAULT_SAMPLED_SPEEDUP_FLOOR = 3.0
+WORKLOADS = ("605.mcf", "657.xz_1", "dijkstra")
+MODES = ("NoFusion", "Helios")
+
+#: µops/s over the six full-length cells.
+UOPS_PER_S_FLOOR = 10_000
+
+SAMPLED_UOPS = 500_000
+SAMPLED_WINDOWS = 16
+SAMPLED_DETAIL_UOPS = 1000
+#: Scaled 500k-µ-op traces clear 4.5-8x on a 2-vCPU VM; 3x leaves
+#: headroom for slow runners and still catches a sampler that stopped
+#: skipping work.
+SAMPLED_SPEEDUP_FLOOR = 3.0
 
 
-def check_sampled(payload, floor) -> bool:
-    """Gate the ``sampled`` section; returns True on failure.
+def cell_failure(cell: dict, reference: dict) -> str | None:
+    """Why a full-length cell differs from its pin, or None."""
+    key = "%s|%s" % (cell["workload"], cell["mode"])
+    pinned = reference["cells"].get(key)
+    if pinned is None:
+        return "no pinned cell %s in reprobench/reference.json" % key
+    if cell["cycles"] != pinned["cycles"]:
+        return "cycles %d, pinned %d" % (cell["cycles"], pinned["cycles"])
+    if cell["digest"] != pinned["digest"][:16]:
+        return "stats digest %s, pinned %s" % (cell["digest"],
+                                               pinned["digest"][:16])
+    return None
 
-    Absent section (pre-sampling payload or a run without ``--sample``)
-    passes: the gate only judges measurements that were actually taken.
-    """
-    sampled = payload.get("sampled") or {}
-    rows = sampled.get("rows") or {}
-    if not rows:
-        print("check_perf: no sampled section (run with --sample to "
-              "gate sampled simulation)")
-        return False
+
+def uops_per_s(cells: list[dict]) -> float:
+    seconds = sum(cell["run_s"] for cell in cells)
+    return sum(cell["uops"] for cell in cells) / seconds if seconds else 0.0
+
+
+def throughput_failure(cells: list[dict]) -> str | None:
+    rate = uops_per_s(cells)
+    if rate < UOPS_PER_S_FLOOR:
+        return "%.0f µops/s is below the %d floor" % (rate, UOPS_PER_S_FLOOR)
+    return None
+
+
+def sampled_failure(row: dict) -> str | None:
+    """Why a sampled row fails its gates, or None.  An exact fallback
+    has numbers, not estimates, and no speedup to expect."""
+    if row["exact"]:
+        return None
+    if row["speedup"] < SAMPLED_SPEEDUP_FLOOR:
+        return "speedup %.1fx is below %.1fx" % (row["speedup"],
+                                                 SAMPLED_SPEEDUP_FLOOR)
+    if abs(row["ipc_err"]) > row["ipc_err_bound"]:
+        return "IPC error %+.2f%% is outside its bound ±%.2f%%" % (
+            100 * row["ipc_err"], 100 * row["ipc_err_bound"])
+    return None
+
+
+def _timed(fn, *args, **kwargs):
+    # Collect first: the previous step's garbage must not land in the
+    # timed one.  PipelineCore.run pauses the cyclic GC itself.
+    gc.collect()
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def measure_cells() -> list[dict]:
+    from repro.config import FusionMode, ProcessorConfig
+    from repro.perf.golden import stats_sha
+    from repro.pipeline.core import PipelineCore
+    from repro.workloads import build_workload
+
+    cells = []
+    for name in WORKLOADS:
+        trace = build_workload(name)
+        for mode in MODES:
+            core = PipelineCore(trace,
+                                ProcessorConfig().with_mode(FusionMode(mode)))
+            stats, run_s = _timed(core.run)
+            cells.append({"workload": name, "mode": mode,
+                          "cycles": stats.cycles,
+                          "digest": stats_sha(stats.to_dict()),
+                          "uops": stats.instructions, "run_s": run_s})
+    return cells
+
+
+def measure_sampled() -> list[dict]:
+    from repro.config import FusionMode, ProcessorConfig
+    from repro.fusion.oracle import oracle_memory_pairs
+    from repro.pipeline.core import PipelineCore
+    from repro.sampling import (
+        DETAIL_PREFIX_UOPS,
+        build_scaled_workload,
+        sampled_simulate,
+    )
+
+    config = ProcessorConfig().with_mode(FusionMode.HELIOS)
+    rows = []
+    for name in WORKLOADS:
+        trace = build_scaled_workload(name, SAMPLED_UOPS)
+        pairs, pairs_s = _timed(
+            oracle_memory_pairs, trace,
+            granularity=config.cache_access_granularity,
+            max_distance=config.max_fusion_distance)
+        core = PipelineCore(trace, config, oracle_pairs=pairs)
+        stats, run_s = _timed(core.run)
+        del core, pairs
+        est, sampled_s = _timed(
+            sampled_simulate, trace, config, windows=SAMPLED_WINDOWS,
+            name=name, detail=SAMPLED_DETAIL_UOPS,
+            prefix=DETAIL_PREFIX_UOPS)
+        rows.append({"workload": name, "uops": len(trace),
+                     "speedup": (pairs_s + run_s) / sampled_s,
+                     "ipc_err": (est.ipc_estimate - stats.ipc) / stats.ipc,
+                     "ipc_err_bound": est.ipc_rel_err,
+                     "exact": est.exact})
+    return rows
+
+
+def _report(label: str, failure: str | None) -> bool:
+    print("check_perf: %s  %s" % (label, "FAIL: " + failure if failure
+                                  else "ok"))
+    return failure is not None
+
+
+def main() -> int:
+    with open(REFERENCE_PATH, encoding="utf-8") as handle:
+        reference = json.load(handle)
     failed = False
-    for name, row in rows.items():
-        speedup = row.get("speedup")
-        exact = row.get("exact")
-        within = row.get("within_bound", False)
-        err = 100 * row.get("ipc_err_vs_full", 0.0)
-        bound = 100 * row.get("ipc_rel_err_bound", 0.0)
-        print("check_perf: sampled %-12s %5.1fx  err %+.2f%% "
-              "(bound ±%.2f%%)%s"
-              % (name, speedup or 0.0, err, bound,
-                 "  [exact fallback]" if exact else ""))
-        if exact:
-            # Degenerate tiny-trace fallback: exact numbers, no
-            # speedup expectation.
-            continue
-        if speedup is None or speedup < floor:
-            print("check_perf: FAIL — %s sampled speedup below %.1fx"
-                  % (name, floor))
-            failed = True
-        if not within:
-            print("check_perf: FAIL — %s IPC estimate outside its "
-                  "reported confidence bound" % name)
-            failed = True
-    return failed
-
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    path = argv[0] if argv else "BENCH_pipeline.json"
-    floor = int(os.environ.get("REPRO_PERF_FLOOR", DEFAULT_FLOOR))
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print("check_perf: cannot read %s: %s" % (path, exc))
-        return 2
-
-    throughput = payload.get("throughput") or {}
-    aggregate = throughput.get("aggregate_uops_per_s")
-    if aggregate is None:
-        print("check_perf: %s has no throughput block "
-              "(bench predates the profiling subsystem?)" % path)
-        return 2
-    print("check_perf: aggregate throughput %d µops/s (floor %d)"
-          % (aggregate, floor))
-    failed = False
-    if aggregate < floor:
-        print("check_perf: FAIL — below the µops/s floor")
-        failed = True
-
-    delta = payload.get("vs_previous")
-    if delta:
-        compared = delta.get("cells_compared", 0)
-        if delta.get("cycles_identical", True):
-            print("check_perf: cycles identical to previous bench "
-                  "(%d cells compared)" % compared)
-        else:
-            mismatches = delta.get("cycle_mismatches", [])
-            print("check_perf: FAIL — %d (workload, mode) cell(s) "
-                  "changed cycles vs the committed baseline:"
-                  % len(mismatches))
-            for line in mismatches:
-                print("  " + line)
-            failed = True
-        speedup = delta.get("aggregate_speedup")
-        if speedup:
-            print("check_perf: %.3fx aggregate µops/s vs previous bench"
-                  % speedup)
-    else:
-        print("check_perf: no previous bench to compare against")
-
-    sampled_floor = float(os.environ.get("REPRO_SAMPLED_SPEEDUP_FLOOR",
-                                         DEFAULT_SAMPLED_SPEEDUP_FLOOR))
-    failed = check_sampled(payload, sampled_floor) or failed
-
+    cells = measure_cells()
+    for cell in cells:
+        failed |= _report(
+            "%-9s %-8s %7d cycles  %s  %6.2f s"
+            % (cell["workload"], cell["mode"], cell["cycles"],
+               cell["digest"], cell["run_s"]),
+            cell_failure(cell, reference))
+    failed |= _report("throughput %.0f µops/s (floor %d)"
+                      % (uops_per_s(cells), UOPS_PER_S_FLOOR),
+                      throughput_failure(cells))
+    for row in measure_sampled():
+        failed |= _report(
+            "sampled %-9s %d µ-ops  %5.1fx  IPC error %+.2f%% "
+            "(bound ±%.2f%%)%s"
+            % (row["workload"], row["uops"], row["speedup"],
+               100 * row["ipc_err"], 100 * row["ipc_err_bound"],
+               "  [exact fallback]" if row["exact"] else ""),
+            sampled_failure(row))
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     sys.exit(main())

@@ -38,6 +38,15 @@ Rules the generic linters cannot express:
    or ``class`` line is dead code: delete it.  Docstring and comment mentions count as
    references, so the rule only catches names nothing talks about.
 
+5. **Hook guards** — in the same per-cycle methods, every call through
+   an optional hook (``self._ev``, ``self._san``, ``self._clog``, or a
+   local alias such as ``ev = self._ev``) must sit in the body of an
+   ``if`` that tests that hook ``is not None``, alone or as one operand
+   of an ``and``.  A method counts as guarded when every
+   ``self.<method>()`` call site sits under such a test.  With no
+   observer, sanitizer or commit log attached, a hook site then costs
+   one ``is None`` test per cycle and never a call (DESIGN §4b).
+
 Usage: ``python tools/lint_repro.py [--root DIR]``; exits non-zero on
 any violation.  The rule implementations are importable pure functions
 over source text so ``tests/test_lint_repro.py`` can exercise them.
@@ -192,7 +201,7 @@ HOT_LOOP_BUDGETS = {
     "_idle_snapshot": (0, 2),
     "_issue": (2, 2),
     "_rename": (0, 3),
-    "_run": (1, 5),
+    "_run": (1, 4),
     "_sample_occupancy": (0, 2),
     "_stall_slot_bucket": (0, 0),
     "_train_uch": (0, 1),
@@ -359,6 +368,110 @@ def unreferenced_definitions(root: Path) -> list[str]:
     return unreferenced_errors(sources, texts)
 
 
+# -- rule 5: hook guards -----------------------------------------------------
+
+#: The optional per-cycle hooks of ``PipelineCore``: event observer,
+#: sanitizer and commit log.
+HOOKS = ("_ev", "_san", "_clog")
+
+
+def _self_hook(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute) and node.attr in HOOKS \
+            and isinstance(node.value, ast.Name) and node.value.id == "self":
+        return node.attr
+    return None
+
+
+def _hook_aliases(method: ast.FunctionDef) -> dict[str, str]:
+    """``local name -> hook`` for ``ev = self._ev`` style bindings."""
+    aliases = {}
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            hook = _self_hook(node.value)
+            if hook is not None:
+                aliases[node.targets[0].id] = hook
+    return aliases
+
+
+def _hook_of(node: ast.AST, aliases: Mapping[str, str]) -> str | None:
+    """The hook ``node`` names: ``self._ev`` or a local alias of it."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    return _self_hook(node)
+
+
+def _tested_hooks(test: ast.AST, aliases: Mapping[str, str]) -> set[str]:
+    """Hooks an ``if`` test proves non-None (``h is not None``, alone or
+    as one operand of an ``and``)."""
+    operands = (test.values if isinstance(test, ast.BoolOp)
+                and isinstance(test.op, ast.And) else [test])
+    hooks = set()
+    for operand in operands:
+        if isinstance(operand, ast.Compare) and len(operand.ops) == 1 \
+                and isinstance(operand.ops[0], ast.IsNot) \
+                and isinstance(operand.comparators[0], ast.Constant) \
+                and operand.comparators[0].value is None:
+            hook = _hook_of(operand.left, aliases)
+            if hook is not None:
+                hooks.add(hook)
+    return hooks
+
+
+def _guarded_calls(method: ast.FunctionDef, aliases: Mapping[str, str]):
+    """``(call, hooks)`` for every call in ``method``; ``hooks`` are the
+    ones the enclosing ``if`` bodies prove non-None."""
+    def visit(node, guards):
+        if isinstance(node, ast.If):
+            yield from visit(node.test, guards)
+            inner = guards | _tested_hooks(node.test, aliases)
+            for child in node.body:
+                yield from visit(child, inner)
+            for child in node.orelse:
+                yield from visit(child, guards)
+            return
+        if isinstance(node, ast.Call):
+            yield node, guards
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, guards)
+
+    for statement in method.body:
+        yield from visit(statement, frozenset())
+
+
+def hook_guard_errors(source: str, path: str = CORE_PATH) -> list[str]:
+    """Per-cycle hook calls not under an ``is not None`` test."""
+    methods = _core_methods(ast.parse(source))
+    calls = {}
+    entry: dict[str, frozenset] = {}  # hooks proven at every call site
+    for name, method in methods.items():
+        aliases = _hook_aliases(method)
+        method_calls = list(_guarded_calls(method, aliases))
+        calls[name] = (method_calls, aliases)
+        for call, guards in method_calls:
+            func = call.func
+            if isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name) \
+                    and func.value.id == "self" and func.attr in methods:
+                entry[func.attr] = entry.get(func.attr, guards) & guards
+    errors = []
+    for name in hot_methods(source):
+        method_calls, aliases = calls[name]
+        for call, guards in method_calls:
+            if not isinstance(call.func, ast.Attribute):
+                continue
+            hook = _hook_of(call.func.value, aliases)
+            if hook is not None \
+                    and hook not in guards | entry.get(name, frozenset()):
+                errors.append(
+                    "%s:%d: per-cycle method %s calls through self.%s "
+                    "outside an `if ... is not None` test on it, and not "
+                    "every self.%s() call site is under one: a run "
+                    "without the hook must pay one test, not a call "
+                    "(DESIGN 4b)" % (path, call.lineno, name, hook, name))
+    return errors
+
+
 # -- driver ------------------------------------------------------------------
 
 def run(root: Path) -> list[str]:
@@ -373,8 +486,9 @@ def run(root: Path) -> list[str]:
         errors.extend(stats_mutation_errors(
             path.read_text(encoding="utf-8"),
             str(path.relative_to(root))))
-    errors.extend(hot_loop_errors(
-        (root / CORE_PATH).read_text(encoding="utf-8")))
+    core_src = (root / CORE_PATH).read_text(encoding="utf-8")
+    errors.extend(hot_loop_errors(core_src))
+    errors.extend(hook_guard_errors(core_src))
     errors.extend(unreferenced_definitions(root))
     return errors
 
