@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -43,14 +45,14 @@ from typing import (
 )
 
 from repro.analysis.legality import Reason
-from repro.fusion.idioms import match_idiom
+from repro.fusion.idioms import _IDIOMS_BY_HEAD, match_idiom
 from repro.fusion.taxonomy import (
     BaseRegKind,
     Contiguity,
     FusedPair,
-    classify_contiguity,
     make_memory_pair,
 )
+from repro.gcpause import paused_gc
 from repro.isa.trace import MicroOp, Trace
 
 T = TypeVar("T")
@@ -84,137 +86,184 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
 
     Semantically identical to the readable, helper-factored reference
     formulation the test suite keeps (``tests/oracle_reference.py``) —
-    same pairs, same census, same greedy order — with the per-tail
-    work flattened into the scan loop:
+    same pairs, same census, same greedy order — but candidate-first:
 
-    * the eligibility helper is inlined so the common rejections
-      (wrong kind, span, taint) cost no call frame;
-    * register-taint membership uses ``set.isdisjoint`` against the
-      source tuple (one C call) instead of a generator ``any``;
-    * taint-generation bookkeeping replaces unconditional re-scans:
-      source-taint is only evaluated for µ-ops that can *carry* taint
-      (a destination register or a store), and the memory-alias
-      interval walk only runs while tainted stores actually exist;
-    * per-head invariants (addresses, base register, kind) are hoisted
-      out of the catalyst walk, and ``base_reg``/``end_addr`` property
-      calls are replaced with slot arithmetic.
+    * each head visits only the same-kind memory µ-ops of its window
+      (from per-kind position lists built once per call), which ends
+      at the first serializing µ-op.  A store head has one candidate,
+      the window's first store: any later one has that store in its
+      catalyst (``ALIASING_STORE``);
+    * a candidate is first put through the checks that need no
+      catalyst state (already fused, size, base register, span,
+      contiguity), which decide almost every rejection;
+    * only a candidate that passes them advances the register/memory
+      taint walk through the catalyst, from where the previous such
+      candidate left it, so a head none of whose candidates passes the
+      address checks costs no walk.
 
-    The tier-1 suite asserts byte-identical pair lists against the
-    reference on every catalog workload; when the pairing rules change,
-    edit the reference first, then mirror the change here.
+    The work per head is bounded by its window's same-kind µ-ops plus
+    the catalyst up to the last candidate that passed the address
+    checks.  The tier-1 suite asserts identical pair lists and
+    censuses against the reference on every catalog workload and flag
+    shape; when the pairing rules change, edit the reference first,
+    then mirror the change here.
     """
     uops = list(trace)
     n = len(uops)
+    # Positions of the memory µ-ops, of the loads and the stores among
+    # them, and of the serializing µ-ops.  The per-kind lists are
+    # closed by a sentinel past the last window.
+    memory: List[int] = []
+    loads: List[int] = []
+    stores: List[int] = []
+    fences: List[int] = []
+    for i, uop in enumerate(uops):
+        if uop.is_memory:
+            memory.append(i)
+            (loads if uop.is_load else stores).append(i)
+        elif uop.is_serializing:
+            fences.append(i)
+    loads.append(n)
+    stores.append(n)
+    fences.append(n)
     fused = [False] * (uops[-1].seq + 1 if uops else 0)
     pairs: List[FusedPair] = []
     horizon = 1 if consecutive_only else max_distance
-    census = reason_counts is not None
-    check_contiguity = require_contiguous
+    census = reason_counts
     LEGAL = Reason.LEGAL
+    next_load = next_store = next_fence = 0
+    fence = fences[0]
 
-    for i, head in enumerate(uops):
-        if not head.is_memory or fused[head.seq]:
-            continue
-        head_seq = head.seq
-        head_dest = head.dest
-        head_is_load = head.is_load
+    for i in memory:
+        head = uops[i]
         head_is_store = head.is_store
-        head_addr = head.addr
-        head_size = head.size
-        head_end = head_addr + head_size
-        head_base = head.inst.rs1
-        tainted = {head_dest} if head_dest is not None else set()
-        tainted_mem = [(head_addr, head_end)] if head_is_store else None
-        load_overlap = False
+        # candidates[k]: the first same-kind µ-op after the head.
+        if head_is_store:
+            candidates = stores
+            next_store += 1
+            k = next_store
+        else:
+            candidates = loads
+            next_load += 1
+            k = next_load
+        head_seq = head.seq
+        if fused[head_seq]:
+            continue
         stop = i + 1 + horizon
         if stop > n:
             stop = n
-        for j in range(i + 1, stop):
+        # What closes the window when no pair does: a serializing µ-op
+        # (counted once), a store head's first candidate (every later
+        # store has it in its catalyst), or the window's end (not
+        # counted).
+        closing = None
+        while fence < i:
+            next_fence += 1
+            fence = fences[next_fence]
+        if fence < stop:
+            stop = fence
+            closing = Reason.SERIALIZING_OP
+        j = candidates[k]
+        if j < stop:  # head state, read once the window holds a candidate
+            head_addr = head.addr
+            head_size = head.size
+            head_end = head_addr + head_size
+            head_base = head.inst.rs1
+            check_base = require_same_base or (head_is_store
+                                               and stores_sbr_only)
+            head_dest = head.dest
+            tainted = {head_dest} if head_dest is not None else set()
+            tainted_mem = [(head_addr, head_end)] if head_is_store else None
+            load_overlap = False
+            walked = i + 1  # first catalyst µ-op the taint walk has not seen
+        while j < stop:
             tail = uops[j]
-            if tail.is_serializing:
-                _note(reason_counts, Reason.SERIALIZING_OP)
-                break
-            tail_is_load = tail.is_load
-            tail_is_store = tail.is_store
-            reason = None
-            if (tail_is_load or tail_is_store) \
-                    and head_is_load == tail_is_load:
+            tail_seq = tail.seq
+            if fused[tail_seq]:
+                reason = Reason.ALREADY_FUSED
+            elif not allow_asymmetric and head_size != tail.size:
+                reason = Reason.ASYMMETRIC_SIZE
+            else:
                 tail_addr = tail.addr
                 tail_end = tail_addr + tail.size
-                if fused[tail.seq]:
-                    reason = Reason.ALREADY_FUSED
-                elif not allow_asymmetric and head_size != tail.size:
-                    reason = Reason.ASYMMETRIC_SIZE
+                if check_base and head_base != tail.inst.rs1:
+                    reason = (Reason.BASE_MISMATCH if require_same_base
+                              else Reason.DBR_STORE)
+                elif ((head_end if head_end > tail_end else tail_end)
+                      - (head_addr if head_addr < tail_addr
+                         else tail_addr)) > granularity:
+                    reason = Reason.SPAN
+                elif require_contiguous and not (
+                        head_end == tail_addr or tail_end == head_addr):
+                    reason = Reason.NON_CONTIGUOUS
                 else:
-                    same_base = head_base == tail.inst.rs1
-                    if require_same_base and not same_base:
-                        reason = Reason.BASE_MISMATCH
-                    elif head_is_store and stores_sbr_only \
-                            and not same_base:
-                        reason = Reason.DBR_STORE
-                    elif ((head_end if head_end > tail_end else tail_end)
-                          - (head_addr if head_addr < tail_addr
-                             else tail_addr)) > granularity:
-                        reason = Reason.SPAN
-                    elif check_contiguity and classify_contiguity(
-                            head, tail, granularity) \
-                            is not Contiguity.CONTIGUOUS:
-                        reason = Reason.NON_CONTIGUOUS
-                    elif tainted and not tainted.isdisjoint(tail.srcs):
+                    # Bring the taint state up to the tail through the
+                    # catalyst µ-ops not yet walked.  With nothing
+                    # tainted the walk would change nothing.
+                    if tainted or tainted_mem:
+                        for uop in uops[walked:j]:
+                            dest = uop.dest
+                            if dest is not None or uop.is_store:
+                                if tainted and not tainted.isdisjoint(
+                                        uop.srcs):
+                                    src_tainted = True
+                                elif uop.is_load and tainted_mem \
+                                        and _reads_any(tainted_mem, uop):
+                                    src_tainted = True
+                                else:
+                                    src_tainted = False
+                                if src_tainted and uop.is_store:
+                                    if tainted_mem is None:
+                                        tainted_mem = []
+                                    tainted_mem.append(
+                                        (uop.addr, uop.addr + uop.size))
+                                if dest is not None:
+                                    if src_tainted:
+                                        tainted.add(dest)
+                                    else:
+                                        tainted.discard(dest)
+                            # A catalyst load straddling the head
+                            # store's bytes.
+                            if head_is_store and uop.is_load \
+                                    and not load_overlap:
+                                lo = uop.addr
+                                hi = lo + uop.size
+                                if not (lo >= head_end or head_addr >= hi) \
+                                        and not (lo >= head_addr
+                                                 and hi <= head_end):
+                                    load_overlap = True
+                    walked = j
+                    if tainted and not tainted.isdisjoint(tail.srcs):
                         reason = Reason.DEADLOCK_DEPENDENCE
-                    elif tail_is_load and tainted_mem \
-                            and _reads_any(tainted_mem, tail):
+                    elif head_is_store:
+                        reason = (Reason.CATALYST_LOAD_OVERLAP
+                                  if load_overlap else LEGAL)
+                    elif tainted_mem and _reads_any(tainted_mem, tail):
                         reason = Reason.DEADLOCK_DEPENDENCE
-                    elif head_is_store and load_overlap:
-                        reason = Reason.CATALYST_LOAD_OVERLAP
-                    elif head_is_load and head_dest is not None \
-                            and head_dest == tail.dest:
+                    elif head_dest is not None and head_dest == tail.dest:
                         reason = Reason.SAME_DEST
-                    elif tail.seq != head_seq + 1 and tail_is_load \
+                    elif tail_seq != head_seq + 1 \
                             and tail.dest is not None \
                             and tail.dest == tail.inst.rs1:
                         reason = Reason.POINTER_CHASE
                     else:
                         reason = LEGAL
-                if reason is LEGAL:
-                    fused[head_seq] = True
-                    fused[tail.seq] = True
-                    pairs.append(make_memory_pair(head, tail, granularity))
-                    break
-                if census:
-                    _note(reason_counts, reason)
-            # Propagate taint through the catalyst — evaluated only for
-            # µ-ops that can carry it onward (a destination register or
-            # a store re-tainting memory).
-            tail_dest = tail.dest
-            if tail_dest is not None or tail_is_store:
-                if tainted and not tainted.isdisjoint(tail.srcs):
-                    src_tainted = True
-                elif tail_is_load and tainted_mem \
-                        and _reads_any(tainted_mem, tail):
-                    src_tainted = True
-                else:
-                    src_tainted = False
-                if tail_is_store and src_tainted:
-                    if tainted_mem is None:
-                        tainted_mem = []
-                    tainted_mem.append((tail.addr, tail.addr + tail.size))
-                if tail_dest is not None:
-                    if src_tainted:
-                        tainted.add(tail_dest)
-                    else:
-                        tainted.discard(tail_dest)
+                    if reason is LEGAL:
+                        fused[head_seq] = True
+                        fused[tail_seq] = True
+                        pairs.append(make_memory_pair(head, tail,
+                                                      granularity))
+                        closing = None
+                        break
+            if census is not None:
+                census[reason] = census.get(reason, 0) + 1
             if head_is_store:
-                if tail_is_store:
-                    _note(reason_counts, Reason.ALIASING_STORE)
-                    break
-                if tail_is_load and not load_overlap:
-                    tail_addr = tail.addr
-                    tail_end = tail_addr + tail.size
-                    if not (tail_addr >= head_end or head_addr >= tail_end) \
-                            and not (tail_addr >= head_addr
-                                     and tail_end <= head_end):
-                        load_overlap = True
+                closing = Reason.ALIASING_STORE
+                break
+            k += 1
+            j = candidates[k]
+        if closing is not None:
+            _note(census, closing)
     return pairs
 
 
@@ -229,10 +278,18 @@ def _reads_any(ranges: List[Tuple[int, int]], uop: MicroOp) -> bool:
 def oracle_rejection_census(trace: Sequence[MicroOp],
                             granularity: int = 64,
                             max_distance: int = 64) -> Dict[Reason, int]:
-    """Reason histogram of one unrestricted oracle pairing pass."""
+    """Reason histogram of one unrestricted oracle pairing pass.
+
+    The pass's pairs are memoised as :func:`cached_oracle_pairs`'
+    result, so a caller that wants both (``repro analyze``) scans the
+    trace once.
+    """
     census: Dict[Reason, int] = {}
-    oracle_memory_pairs(trace, granularity=granularity,
-                        max_distance=max_distance, reason_counts=census)
+    with paused_gc():
+        pairs = oracle_memory_pairs(trace, granularity=granularity,
+                                    max_distance=max_distance,
+                                    reason_counts=census)
+    _memoised(trace, _pairs_key(granularity, max_distance), lambda: pairs)
     return census
 
 
@@ -249,17 +306,29 @@ def _memoised(trace: Sequence[MicroOp], key: tuple,
               compute: Callable[[], T]) -> T:
     """``compute()``, cached in ``trace``'s :data:`_ORACLE_MEMO` entry
     under ``key``.  Sequences that cannot be weakly referenced (plain
-    lists of µ-ops) are computed afresh on every call."""
+    lists of µ-ops) are computed afresh on every call.
+
+    The cyclic GC is paused while ``compute`` runs: a census allocates
+    one object per pair found while the whole trace is resident, and
+    makes no reference cycle, so generational collections would only
+    walk the trace.
+    """
     try:
-        memo = _ORACLE_MEMO.get(trace)
+        memo = _ORACLE_MEMO.setdefault(trace, {})
     except TypeError:
-        return compute()
-    if memo is None:
-        memo = _ORACLE_MEMO[trace] = {}
+        memo = {}
     value = memo.get(key)
     if value is None:
-        value = memo[key] = compute()
+        with paused_gc():
+            value = memo[key] = compute()
     return value
+
+
+def _pairs_key(granularity: int, max_distance: int) -> tuple:
+    """Memo key of the unrestricted pairing, which both
+    :func:`cached_oracle_pairs` and :func:`oracle_rejection_census`
+    store."""
+    return ("pairs", granularity, max_distance)
 
 
 def cached_oracle_pairs(trace: Sequence[MicroOp],
@@ -272,7 +341,7 @@ def cached_oracle_pairs(trace: Sequence[MicroOp],
     every caller asking for the same (trace, granularity,
     max_distance): read it, never mutate it.
     """
-    return _memoised(trace, ("pairs", granularity, max_distance),
+    return _memoised(trace, _pairs_key(granularity, max_distance),
                      lambda: oracle_memory_pairs(
                          trace, granularity=granularity,
                          max_distance=max_distance))
@@ -323,7 +392,9 @@ def oracle_other_pairs(trace: Sequence[MicroOp],
     """Consecutive non-memory Table I idiom pairs.
 
     ``exclude`` marks µ-ops already claimed (e.g. by memory pairing) so
-    the censuses compose the way a real decode window would.
+    the censuses compose the way a real decode window would.  Only a
+    µ-op whose mnemonic can open an idiom is tried as a head, greedily
+    oldest first; :func:`match_idiom` would reject every other one.
     """
     uops = list(trace)
     taken = set()
@@ -331,18 +402,20 @@ def oracle_other_pairs(trace: Sequence[MicroOp],
         taken.add(pair.head_seq)
         taken.add(pair.tail_seq)
     pairs: List[FusedPair] = []
-    i = 0
-    while i + 1 < len(uops):
+    free = 0  # first position not claimed by an earlier pair
+    opens_idiom = map(_IDIOMS_BY_HEAD.__contains__,
+                      map(attrgetter("inst.mnemonic"), uops))
+    for i in compress(range(len(uops) - 1), opens_idiom):
+        if i < free:
+            continue
         head, tail = uops[i], uops[i + 1]
         if (head.seq not in taken and tail.seq not in taken
                 and tail.seq == head.seq + 1):
             idiom = match_idiom(head.inst, tail.inst)
             if idiom is not None:
-                pairs.append(FusedPair(head_seq=head.seq, tail_seq=tail.seq,
-                                       idiom=idiom.name, is_memory=False))
-                i += 2
-                continue
-        i += 1
+                pairs.append(FusedPair(head.seq, tail.seq, idiom.name,
+                                       False))
+                free = i + 2
     return pairs
 
 

@@ -23,7 +23,6 @@ programs:
 
 from __future__ import annotations
 
-import gc
 import json
 import re
 import struct
@@ -32,6 +31,7 @@ import zlib
 from collections.abc import Iterable
 from typing import BinaryIO, Optional, TextIO, Union
 
+from repro.gcpause import paused_gc
 from repro.isa.decoder import decode
 from repro.isa.instructions import Instruction, opclass_for
 from repro.isa.program import INSTRUCTION_BYTES
@@ -330,16 +330,12 @@ def load_trace_binary(source: Union[str, bytes, BinaryIO]) -> Trace:
     # does, and restore the caller's state on every exit.
     uops: list[MicroOp] = []
     append = uops.append
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        for seq, (index, addr, target_pc, flags) in enumerate(
-                _UOP_STRUCT.iter_unpack(memoryview(body)[pos:])):
-            append(MicroOp(seq, table[index], addr, bool(flags & 1),
-                           target_pc))
+        with paused_gc():
+            for seq, (index, addr, target_pc, flags) in enumerate(
+                    _UOP_STRUCT.iter_unpack(memoryview(body)[pos:])):
+                append(MicroOp(seq, table[index], addr, bool(flags & 1),
+                               target_pc))
     except IndexError:
         raise TraceFormatError("µ-op references unknown static entry") from None
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return Trace(uops, name=name)

@@ -24,7 +24,6 @@ Fusion responsibilities match the paper's Figure 6:
 from __future__ import annotations
 
 import dataclasses
-import gc
 import heapq
 import operator
 import os
@@ -36,6 +35,7 @@ from repro.config import FusionMode, ProcessorConfig
 from repro.fusion.oracle import oracle_memory_pairs, predictive_pairs_from
 from repro.fusion.taxonomy import span
 from repro.fusion.window import ConsecutiveFusionWindow
+from repro.gcpause import paused_gc
 from repro.isa.instructions import EXECUTION_LATENCY, OpClass
 from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
@@ -453,14 +453,8 @@ class PipelineCore:
         Refcounting frees each µ-op as it leaves the window, so the
         caller's GC state is restored on exit without a collection.
         """
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with paused_gc():
             return self._run(max_cycles, until_instructions)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _run(self, max_cycles: Optional[int] = None,
              until_instructions: Optional[int] = None) -> CoreStats:

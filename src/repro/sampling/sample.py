@@ -37,12 +37,12 @@ numbers (``exact=True``).
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.fusion.oracle import oracle_memory_pairs
+from repro.gcpause import paused_gc
 from repro.isa.trace import Trace
 from repro.pipeline.core import DRAIN_HORIZON, PipelineCore
 from repro.sampling.estimate import (
@@ -202,10 +202,7 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
     # sub-trace copies and the warmer allocate enough to trigger
     # generational collections, and each full one walks the
     # multi-million-object parent trace, which holds no cycles.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with paused_gc():
         # Exact head: detailed simulation of stratum 0 from true cold
         # state.  The head core adopts the warmer's freshly-built
         # structures (identical to its own cold defaults), so its
@@ -254,12 +251,6 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
             # the window; continue warming after the measured region.
             warmer.commit_counter = core.commit_counter
             cursor = w.measure_end
-    finally:
-        if gc_was_enabled:
-            # Re-enable without forcing a collection: a full collect
-            # walks the multi-million-object parent trace (~1 s) and
-            # refcounting already frees the per-window cores.
-            gc.enable()
     return finalize_estimate(
         workload=label, mode=mode, total_uops=total,
         window_uops=detail, warmup_uops=warmup,

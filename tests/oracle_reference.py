@@ -1,16 +1,24 @@
-"""Reference formulation of the greedy oracle memory-pair scan.
+"""Reference formulations of the greedy oracle pair scans.
 
 :func:`repro.fusion.oracle.oracle_memory_pairs` is the same algorithm
-with the per-tail work inlined into one loop.  This readable,
-helper-factored version is the test oracle it must match byte for byte
-(pairs, order and rejection census) on every catalog workload and flag
-shape.  When the pairing rules change, edit this function first, then
-mirror the change in the fast scan.
+as :func:`oracle_memory_pairs_reference`, visiting only the candidates
+that can pair and walking the catalyst only as far as it must.  This
+readable, helper-factored version walks every µ-op of every window and
+is the test oracle the fast scan must match byte for byte (pairs, order
+and rejection census) on every catalog workload and flag shape.  When
+the pairing rules change, edit this function first, then mirror the
+change in the fast scan.
+
+:func:`oracle_other_pairs_reference` is the same for
+:func:`repro.fusion.oracle.oracle_other_pairs`: it tries every
+adjacent pair, where the fast scan tries only heads that can open an
+idiom.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.legality import Reason
+from repro.fusion.idioms import match_idiom
 from repro.fusion.oracle import _note, _reads_any
 from repro.fusion.taxonomy import (
     Contiguity,
@@ -153,4 +161,31 @@ def oracle_memory_pairs_reference(trace: Sequence[MicroOp],
                 if tail.is_load and not load_overlap \
                         and _straddles(head, tail):
                     load_overlap = True
+    return pairs
+
+
+def oracle_other_pairs_reference(trace: Sequence[MicroOp],
+                                 exclude: Optional[Sequence[FusedPair]] = None,
+                                 ) -> List[FusedPair]:
+    """Reference greedy scan for consecutive non-memory Table I idiom
+    pairs: same arguments and pairs as
+    :func:`repro.fusion.oracle.oracle_other_pairs`."""
+    uops = list(trace)
+    taken = set()
+    for pair in exclude or ():
+        taken.add(pair.head_seq)
+        taken.add(pair.tail_seq)
+    pairs: List[FusedPair] = []
+    i = 0
+    while i + 1 < len(uops):
+        head, tail = uops[i], uops[i + 1]
+        if (head.seq not in taken and tail.seq not in taken
+                and tail.seq == head.seq + 1):
+            idiom = match_idiom(head.inst, tail.inst)
+            if idiom is not None:
+                pairs.append(FusedPair(head_seq=head.seq, tail_seq=tail.seq,
+                                       idiom=idiom.name, is_memory=False))
+                i += 2
+                continue
+        i += 1
     return pairs

@@ -2,6 +2,7 @@
 
 from repro.analysis.differential import (
     _compare_streams,
+    analyze_trace,
     analyze_workload,
     check_pipeline,
 )
@@ -81,3 +82,23 @@ def test_compare_streams_flags_length_and_content():
     assert any(d.kind == "replay-stream"
                for d in _compare_streams(trace, truncated))
     assert _compare_streams(trace, trace) == []
+
+
+def test_analyze_trace_runs_one_oracle_scan(monkeypatch):
+    """The rejection census's scan also fills the pair memo."""
+    from repro.fusion import oracle
+
+    scans = []
+    scan = oracle.oracle_memory_pairs
+
+    def counted(*args, **kwargs):
+        scans.append(kwargs.get("reason_counts") is not None)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "oracle_memory_pairs", counted)
+    report = analyze_trace(trace_of(FUSEABLE),
+                           modes=[FusionMode.HELIOS, FusionMode.ORACLE])
+    assert scans == [True]
+    assert report.ok
+    assert report.oracle_pairs == 2
+    assert report.oracle_census == {}

@@ -67,3 +67,12 @@ def test_slow_sampled_row_fails_unless_exact_fallback():
 def test_sampled_error_outside_bound_fails():
     failure = check_perf.sampled_failure(_row(ipc_err=-0.0061))
     assert "outside its bound" in failure
+
+
+def test_census_rate_floor():
+    fast = {"uops": 752_781, "census_s": 1.8}
+    assert check_perf.census_failure(fast) is None
+    slow = {"uops": 752_781, "census_s": 5.6}
+    assert "134425 µops/s is below the 140000 floor" \
+        in check_perf.census_failure(slow)
+    assert check_perf.census_failure({"uops": 1, "census_s": 0.0})

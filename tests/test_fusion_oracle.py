@@ -1,5 +1,10 @@
 """Tests for the oracle pair discovery and the consecutive window."""
 
+import gc
+
+import pytest
+from hypothesis import given, settings
+
 from repro.config import FusionMode
 from repro.fusion import (
     analyze_trace,
@@ -10,6 +15,7 @@ from repro.fusion import (
 from repro.fusion.taxonomy import BaseRegKind, Contiguity
 from repro.fusion.window import ConsecutiveFusionWindow
 from repro.isa import assemble, run_program
+from tests.test_pipeline_properties import stressful_programs
 
 
 def trace_of(source):
@@ -400,3 +406,73 @@ def test_fast_oracle_matches_reference_every_flag_shape():
             assert [_pair_key(p) for p in fast] \
                 == [_pair_key(p) for p in ref], (name, flags)
             assert fast_census == ref_census, (name, flags)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stressful_programs())
+def test_fast_oracle_matches_reference_on_stressful_programs(source):
+    """Fences mid-window, store bursts and byte loads straddling a
+    store: the window exits the catalog rarely reaches."""
+    from tests.oracle_reference import oracle_memory_pairs_reference
+
+    trace = trace_of(source)
+    for flags in _FLAG_SHAPES:
+        ref_census, fast_census = {}, {}
+        ref = oracle_memory_pairs_reference(
+            trace, reason_counts=ref_census, **flags)
+        fast = oracle_memory_pairs(trace, reason_counts=fast_census, **flags)
+        assert [_pair_key(p) for p in fast] \
+            == [_pair_key(p) for p in ref], flags
+        assert list(fast_census.items()) == list(ref_census.items()), flags
+
+
+def test_other_pairs_match_reference_all_catalog_workloads():
+    from tests.oracle_reference import oracle_other_pairs_reference
+    from repro.workloads import build_workload, workload_names
+
+    for name in workload_names():
+        trace = build_workload(name)
+        claimed = consecutive_memory_pairs(trace)
+        for exclude in (None, claimed):
+            assert oracle_other_pairs(trace, exclude=exclude) \
+                == oracle_other_pairs_reference(trace, exclude=exclude), \
+                (name, exclude is None)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_census_scans_run_with_gc_paused(monkeypatch, enabled):
+    from repro.fusion import oracle
+
+    inside = []
+
+    def watched(scan):
+        def run(*args, **kwargs):
+            inside.append((scan.__name__, gc.isenabled()))
+            return scan(*args, **kwargs)
+        return run
+
+    for name in ("oracle_memory_pairs", "oracle_other_pairs"):
+        monkeypatch.setattr(oracle, name, watched(getattr(oracle, name)))
+    trace = trace_of("""
+        li x1, 0x20000
+        ld x4, 0(x1)
+        addi x9, x9, 1
+        ld x5, 8(x1)
+        lui x6, 0x12
+        addiw x6, x6, 3
+        ecall
+    """)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        gc.collect()
+        full_collections = gc.get_stats()[2]["collections"]
+        analysis = oracle.analyze_trace(trace)
+        assert gc.isenabled() is enabled
+        assert gc.get_stats()[2]["collections"] == full_collections
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(analysis.memory_pairs) == 1
+    assert inside == [("oracle_memory_pairs", False),
+                      ("oracle_memory_pairs", False),
+                      ("oracle_other_pairs", False)]

@@ -1,5 +1,8 @@
 """Tests for the fusion taxonomy (Section II-A definitions)."""
 
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -160,3 +163,34 @@ def test_classification_consistent_with_span(base, size_a, delta, size_b):
     category = classify_contiguity(head, tail, granularity=64)
     exceeds = span(head.addr, size_a, tail.addr, size_b) > 64
     assert (category is Contiguity.TOO_FAR) == exceeds
+
+
+def test_fused_pair_is_an_immutable_value():
+    pair = FusedPair(3, 7, "load_pair", True, Contiguity.SAME_LINE,
+                     BaseRegKind.DBR, False)
+    same = FusedPair(head_seq=3, tail_seq=7, idiom="load_pair",
+                     is_memory=True, contiguity=Contiguity.SAME_LINE,
+                     base_kind=BaseRegKind.DBR, symmetric=False)
+    assert pair == same and hash(pair) == hash(same)
+    assert pair != same._replace(symmetric=True)
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    assert not hasattr(pair, "__dict__")
+    with pytest.raises(AttributeError):
+        pair.tail_seq = 8
+    other = FusedPair(3, 4, "lui_addi", False)
+    assert (other.contiguity, other.base_kind, other.symmetric) \
+        == (None, None, True)
+    with pytest.raises(ValueError):
+        pair._replace(tail_seq=3)
+    with pytest.raises(ValueError):
+        FusedPair._make((7, 3, "load_pair", True))
+
+
+def test_fused_pair_constructor_lists_the_fields_in_order():
+    """FusedPair.__new__ builds its tuple positionally, so its
+    parameters must be the record's fields, in order, with their
+    defaults."""
+    params = list(inspect.signature(FusedPair.__new__).parameters.values())
+    assert [p.name for p in params[1:]] == list(FusedPair._fields)
+    assert {p.name: p.default for p in params[1:]
+            if p.default is not p.empty} == FusedPair._field_defaults

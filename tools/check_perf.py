@@ -7,7 +7,7 @@ Usage::
 
 Takes no arguments, reads no environment variable and writes no file.
 It measures and checks in one process, prints one line per cell or row,
-and exits non-zero on any failure.  Three checks:
+and exits non-zero on any failure.  Four checks:
 
 1. **Full-length cycle exactness.**  605.mcf, 657.xz_1 and dijkstra run
    under NoFusion and Helios at the default capture.  Each cell's
@@ -28,6 +28,11 @@ and exits non-zero on any failure.  Three checks:
    unless the estimate fell back to exact full detail, and the IPC
    error against full detail must lie within the estimate's reported
    95 %-confidence bound.
+4. **Census tripwire.**  The oracle census behind Figures 2, 4, 5 and
+   Table I (:func:`repro.fusion.oracle.analyze_trace`), run once over
+   every catalog trace with nothing memoised, must reach
+   :data:`CENSUS_UOPS_PER_S_FLOOR` µ-ops per second.  Like check 2,
+   this is a catastrophic-regression floor, not a target.
 
 The check functions are pure (measured rows in, failure text out) so
 ``tests/test_check_perf.py`` can exercise them without simulating.
@@ -49,6 +54,10 @@ MODES = ("NoFusion", "Helios")
 
 #: µops/s over the six full-length cells.
 UOPS_PER_S_FLOOR = 10_000
+
+#: µops/s of the catalog census: about a quarter of the 430-650k a
+#: shared 2-vCPU VM measures.
+CENSUS_UOPS_PER_S_FLOOR = 140_000
 
 SAMPLED_UOPS = 500_000
 SAMPLED_WINDOWS = 16
@@ -96,6 +105,18 @@ def sampled_failure(row: dict) -> str | None:
     if abs(row["ipc_err"]) > row["ipc_err_bound"]:
         return "IPC error %+.2f%% is outside its bound ±%.2f%%" % (
             100 * row["ipc_err"], 100 * row["ipc_err_bound"])
+    return None
+
+
+def census_rate(row: dict) -> float:
+    return row["uops"] / row["census_s"] if row["census_s"] else 0.0
+
+
+def census_failure(row: dict) -> str | None:
+    rate = census_rate(row)
+    if rate < CENSUS_UOPS_PER_S_FLOOR:
+        return "%.0f µops/s is below the %d floor" % (
+            rate, CENSUS_UOPS_PER_S_FLOOR)
     return None
 
 
@@ -161,6 +182,18 @@ def measure_sampled() -> list[dict]:
     return rows
 
 
+def measure_census() -> dict:
+    """The census over every catalog trace.  No earlier check runs it,
+    so each trace's oracle memo starts cold."""
+    from repro.fusion.oracle import analyze_trace
+    from repro.workloads import build_workload, workload_names
+
+    traces = [build_workload(name) for name in workload_names()]
+    _, census_s = _timed(lambda: [analyze_trace(trace) for trace in traces])
+    return {"traces": len(traces), "uops": sum(map(len, traces)),
+            "census_s": census_s}
+
+
 def _report(label: str, failure: str | None) -> bool:
     print("check_perf: %s  %s" % (label, "FAIL: " + failure if failure
                                   else "ok"))
@@ -189,6 +222,12 @@ def main() -> int:
                100 * row["ipc_err"], 100 * row["ipc_err_bound"],
                "  [exact fallback]" if row["exact"] else ""),
             sampled_failure(row))
+    census = measure_census()
+    failed |= _report(
+        "census %d traces  %d µ-ops  %.2f s  %.0f µops/s (floor %d)"
+        % (census["traces"], census["uops"], census["census_s"],
+           census_rate(census), CENSUS_UOPS_PER_S_FLOOR),
+        census_failure(census))
     return 1 if failed else 0
 
 
