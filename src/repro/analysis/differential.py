@@ -72,10 +72,7 @@ class Divergence:
     #: Machine-readable kind: ``replay-stream``, ``oracle-illegal``,
     #: ``fused-illegal``, ``other-idiom``, ``uch-contract``,
     #: ``commit-incomplete``, ``commit-order``, ``drain-coverage``,
-    #: ``memory-mismatch``, ``sanitizer``, ``hang``,
-    #: ``static-unexplained`` (a dynamically-legal pair the static
-    #: analyzer can neither discover nor excuse with a checkable
-    #: reason class — see :mod:`repro.analysis.static.contract`).
+    #: ``memory-mismatch``, ``sanitizer``, ``hang``.
     kind: str
     detail: str
     head_seq: Optional[int] = None
@@ -222,17 +219,13 @@ def check_pipeline(trace: Trace, config: ProcessorConfig,
                    store_values: Optional[dict[int, int]] = None,
                    baseline_memory: Optional[Memory] = None,
                    expected_memory: Optional[dict[int, bytes]] = None,
-                   sanitize: bool = True,
-                   static_report=None) -> ModeCheck:
+                   sanitize: bool = True) -> ModeCheck:
     """Run one mode with the commit log armed and validate everything.
 
     ``store_values`` / ``baseline_memory`` / ``expected_memory`` enable
     the architectural-state half (drain replay); without them only the
     fusion-legality and completeness checks run (synthesized traces
-    have no program to re-interpret).  ``static_report`` (a
-    :class:`~repro.analysis.static.candidates.StaticReport`) arms the
-    static↔dynamic contract: every committed memory pair must be a
-    static candidate or carry a checkable reason class.
+    have no program to re-interpret).
     """
     check = ModeCheck(mode=config.fusion_mode.value)
     clog = CommitLog()
@@ -278,8 +271,7 @@ def check_pipeline(trace: Trace, config: ProcessorConfig,
             check.divergences.append(Divergence(
                 "commit-order", "fused heads committed out of order"))
 
-    # 2. Every committed fused pair is statically legal — and, when
-    #    the static contract is armed, statically *discoverable*.
+    # 2. Every committed fused pair is statically legal.
     fused = clog.fused_pairs()
     check.committed_pairs = len(fused)
     for head_seq, tail_seq, kind in fused:
@@ -291,16 +283,6 @@ def check_pipeline(trace: Trace, config: ProcessorConfig,
                     "committed %s pair is illegal: %s"
                     % (kind, verdict.describe()),
                     head_seq=head_seq, tail_seq=tail_seq))
-            elif static_report is not None:
-                from repro.analysis.static.contract import \
-                    explain_dynamic_pair
-                pair_check = explain_dynamic_pair(
-                    trace, static_report, head_seq, tail_seq,
-                    source="committed:%s" % config.fusion_mode.value)
-                if not pair_check.ok:
-                    check.divergences.append(Divergence(
-                        "static-unexplained", pair_check.describe(),
-                        head_seq=head_seq, tail_seq=tail_seq))
         else:  # 'other' idiom pairs: adjacent and a real Table I idiom
             if tail_seq != head_seq + 1 \
                     or match_idiom(trace[head_seq].inst,
@@ -368,15 +350,8 @@ def analyze_trace(trace: Trace,
                   store_values: Optional[dict[int, int]] = None,
                   program=None,
                   expected_memory: Optional[dict[int, bytes]] = None,
-                  static_report=None,
                   ) -> AnalysisReport:
-    """Differential analysis of one (possibly synthesized) trace.
-
-    ``static_report`` arms the static↔dynamic contract: every oracle
-    pair and every committed memory pair must map to a static
-    candidate at its PC pair or carry a machine-checkable reason
-    class (see :mod:`repro.analysis.static.contract`).
-    """
+    """Differential analysis of one (possibly synthesized) trace."""
     config = config or ProcessorConfig()
     analyzer = LegalityAnalyzer(
         trace, granularity=config.cache_access_granularity,
@@ -400,23 +375,13 @@ def analyze_trace(trace: Trace,
                 "oracle pair outside the legal set: %s"
                 % verdict.describe(),
                 head_seq=pair.head_seq, tail_seq=pair.tail_seq))
-        elif static_report is not None:
-            from repro.analysis.static.contract import explain_dynamic_pair
-            pair_check = explain_dynamic_pair(
-                trace, static_report, pair.head_seq, pair.tail_seq,
-                source="oracle")
-            if not pair_check.ok:
-                report.trace_divergences.append(Divergence(
-                    "static-unexplained", pair_check.describe(),
-                    head_seq=pair.head_seq, tail_seq=pair.tail_seq))
 
     for mode in (modes if modes is not None else list(FusionMode)):
         baseline = _fresh_baseline(program) if program is not None else None
         report.checks.append(check_pipeline(
             trace, config.with_mode(mode), legality,
             store_values=store_values, baseline_memory=baseline,
-            expected_memory=expected_memory, sanitize=sanitize,
-            static_report=static_report))
+            expected_memory=expected_memory, sanitize=sanitize))
     return report
 
 
@@ -424,17 +389,13 @@ def analyze_workload(name: str,
                      modes: Optional[Sequence[FusionMode]] = None,
                      config: Optional[ProcessorConfig] = None,
                      max_uops: Optional[int] = None,
-                     sanitize: bool = True,
-                     static_contract: bool = False) -> AnalysisReport:
+                     sanitize: bool = True) -> AnalysisReport:
     """Full differential analysis of one catalog workload.
 
     Re-interprets the workload's program on a fresh interpreter
     (recording every stored value), cross-checks the shared trace
     against that stream, then runs every requested fusion mode with the
-    commit log (and optionally the sanitizer) armed.  With
-    ``static_contract`` the workload's program is also run through the
-    static fusion analyzer and every dynamically-legal pair is checked
-    against its static candidate set.
+    commit log (and optionally the sanitizer) armed.
     """
     from repro.workloads.catalog import (
         DEFAULT_MAX_UOPS, build_program, build_workload, ensure_known)
@@ -442,18 +403,12 @@ def analyze_workload(name: str,
     cap = max_uops or DEFAULT_MAX_UOPS
     trace = build_workload(name, max_uops=cap)
     program = build_program(name)
-    static_report = None
-    if static_contract:
-        from repro.analysis.static.contract import static_report_for
-        _analyzer, static_report = static_report_for(
-            program, config=config)
     interp = Interpreter(program, max_uops=cap, record_stores=True)
     fresh = interp.run()
     report = analyze_trace(
         trace, modes=modes, config=config, sanitize=sanitize,
         store_values=interp.store_values, program=program,
-        expected_memory=interp.memory.snapshot(),
-        static_report=static_report)
+        expected_memory=interp.memory.snapshot())
     report.workload = name
     report.trace_divergences[:0] = _compare_streams(trace, fresh)
     return report

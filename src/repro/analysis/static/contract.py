@@ -24,10 +24,9 @@ The admissible reason classes are closed and checkable:
 * ``path-budget`` — the head's abstract walk was truncated by the
   path budget before reaching the tail.
 
-Anything else is a :class:`~repro.analysis.differential.Divergence`
-(kind ``static-unexplained``): a bug in one of the two analyzers.
-``repro static`` renders the per-workload table and exits non-zero on
-any violation.
+Anything else is a contract violation: a bug in one of the two
+analyzers.  ``repro static`` renders the per-workload table and exits
+non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -254,14 +253,6 @@ class WorkloadStaticContract:
             if mode.mode == name:
                 return mode
         return None
-
-    def divergences(self) -> list:
-        """Contract violations as differential ``Divergence`` objects."""
-        from repro.analysis.differential import Divergence
-        return [
-            Divergence("static-unexplained", check.describe(),
-                       head_seq=check.head_seq, tail_seq=check.tail_seq)
-            for check in self.violations]
 
     def render(self) -> str:
         counts = self.static.verdict_counts()

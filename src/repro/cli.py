@@ -101,8 +101,11 @@ def _jobs_arg(text: str) -> int:
 
 
 def _workload_list(arg: Optional[str]) -> Optional[List[str]]:
+    """Comma-separated catalog names, or ``all`` for the whole catalog."""
     if not arg:
         return None
+    if arg.strip().lower() == "all":
+        return workload_names()
     names = [n.strip() for n in arg.split(",") if n.strip()]
     try:
         return ensure_known(names)
@@ -441,8 +444,7 @@ def _cmd_analyze(args) -> int:
             print()
         report = analyze_workload(name, modes=modes,
                                   max_uops=args.max_uops,
-                                  sanitize=not args.no_sanitize,
-                                  static_contract=args.static)
+                                  sanitize=not args.no_sanitize)
         print(report.render())
         if args.explain is not None:
             print()
@@ -479,10 +481,7 @@ def _cmd_static(args) -> int:
     from repro.analysis.static.contract import (
         check_workload_contract, render_contract_table)
 
-    if args.workloads.strip().lower() == "all":
-        names = list(workload_names())
-    else:
-        names = _workload_list(args.workloads)
+    names = _workload_list(args.workloads)
     if not names:
         raise SystemExit("static needs at least one workload name")
     modes = ([m.strip() for m in args.mode.split(",") if m.strip()]
@@ -572,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", help="fig2|fig3|fig4|fig5|fig8|fig9|fig10|"
                                   "table1|table2|table3|legality")
     exp.add_argument("--workloads",
-                     help="comma-separated subset (default: all 32)")
+                     help="comma-separated subset, or 'all' (the "
+                          "default)")
     exp.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
                      help="fusion predictor organization for Helios sweeps")
     exp.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
@@ -675,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "prove every committed fused pair legal and the "
                         "committed state bit-exact")
     analyze.add_argument("workloads",
-                         help="comma-separated workload name(s)")
+                         help="comma-separated workload name(s), or 'all'")
     analyze.add_argument("--mode",
                          help="one configuration (default: all six)")
     analyze.add_argument("--max-uops", type=_positive, default=None,
@@ -692,11 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "fusion heads at this PC (hex ok)")
     analyze.add_argument("--json", metavar="FILE",
                          help="write the machine-readable report here")
-    analyze.add_argument("--static", action="store_true",
-                         help="also enforce the static opportunity "
-                              "contract: every dynamically-legal pair "
-                              "must be a static candidate or carry a "
-                              "checkable reason class")
     analyze.set_defaults(func=_cmd_analyze)
 
     static = sub.add_parser(

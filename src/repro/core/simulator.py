@@ -16,24 +16,12 @@ from typing import Dict, Iterable, Optional, Union
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.results import SimResult
-from repro.fusion.oracle import cached_oracle_pairs, predictive_pair_set
+from repro.fusion.oracle import cached_oracle_pairs
 from repro.isa.interp import run_program
 from repro.isa.program import Program
 from repro.isa.trace import Trace
 from repro.obs import PipelineObserver, observer_from_environment
 from repro.pipeline.core import PipelineCore
-
-
-def count_eligible_predictive_pairs(trace: Trace,
-                                    config: ProcessorConfig) -> int:
-    """Pairs that *need* a prediction: NCSF pairs plus CSF pairs that a
-    static decode window cannot see (different base register or
-    non-contiguous addresses).  This is the Table III coverage
-    denominator.
-    """
-    return len(predictive_pair_set(
-        trace, granularity=config.cache_access_granularity,
-        max_distance=config.max_fusion_distance))
 
 
 def _shared_oracle_pairs(trace: Trace, config: ProcessorConfig):

@@ -5,8 +5,8 @@ small JSON file keyed by the workload name, a stable fingerprint of the
 full :class:`~repro.config.ProcessorConfig` (fusion mode included) and
 a cache schema version.  Later sweeps — in the same process, another
 process, or another run entirely — are served from disk instead of
-re-simulating, which is what lets the figure/table generators and the
-benchmark suite share their heavily-overlapping sweeps.
+re-simulating, which is what lets separate ``repro experiment``
+commands share their heavily-overlapping sweeps.
 
 The cache is safe to delete at any time (``repro cache clear``), and it
 is safe under *concurrent* readers and writers (the parallel sweep's

@@ -363,19 +363,6 @@ def predictive_pairs_from(pairs: Sequence[FusedPair]) -> Set[Tuple[int, int]]:
     return eligible
 
 
-def predictive_pair_set(trace: Sequence[MicroOp],
-                        granularity: int = 64,
-                        max_distance: int = 64) -> set:
-    """:func:`predictive_pairs_from` over the (cached) oracle pairing.
-
-    This is the Table III coverage denominator; the pipeline charges
-    the coverage numerator only for committed predicted fusions whose
-    pair is in this set, so coverage is ≤ 100 % by construction.
-    """
-    return predictive_pairs_from(cached_oracle_pairs(
-        trace, granularity=granularity, max_distance=max_distance))
-
-
 def consecutive_memory_pairs(trace: Sequence[MicroOp],
                              granularity: int = 64,
                              require_same_base: bool = True,

@@ -471,12 +471,10 @@ class PipelineCore:
         # The event-driven fast path (see _fast_forward) replicates the
         # per-cycle bookkeeping of provably-idle stretches instead of
         # simulating them.  Any per-cycle observer needs the real
-        # cycles, so their presence pins the core to the slow path (as
-        # does REPRO_NO_FASTFORWARD, the differential-testing escape
-        # hatch).
+        # cycles, so their presence pins the core to the slow path; an
+        # armed commit log is how tests compare the two.
         fast_forward = (self._ev is None and self._san is None
-                        and self._clog is None
-                        and not os.environ.get("REPRO_NO_FASTFORWARD"))
+                        and self._clog is None)
         observed = not fast_forward
         idle_prev = False
         snap = None

@@ -1,7 +1,6 @@
 """Statistics helpers: aggregate math and report rendering."""
 
-from repro.stats.counters import amean, geomean, normalize, percent
-from repro.stats.report import ascii_bar_chart, ascii_table
+from repro.stats.counters import amean, geomean, percent
+from repro.stats.report import ascii_table
 
-__all__ = ["amean", "ascii_bar_chart", "ascii_table", "geomean",
-           "normalize", "percent"]
+__all__ = ["amean", "ascii_table", "geomean", "percent"]

@@ -7,7 +7,7 @@ fusion-pair percentages as arithmetic means — both helpers live here.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Iterable
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -24,14 +24,6 @@ def amean(values: Iterable[float]) -> float:
     if not values:
         return 0.0
     return sum(values) / len(values)
-
-
-def normalize(values: Dict[str, float], baseline: str) -> Dict[str, float]:
-    """Scale a name->value map so that ``baseline`` maps to 1.0."""
-    base = values[baseline]
-    if base == 0:
-        return {name: 0.0 for name in values}
-    return {name: value / base for name, value in values.items()}
 
 
 def percent(numerator: float, denominator: float) -> float:

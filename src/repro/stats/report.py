@@ -1,13 +1,12 @@
 """Plain-text rendering for experiment outputs.
 
-The benchmark harness prints each table/figure the paper reports as an
-ASCII table (and, for figures, an optional bar chart) so runs can be
-compared against the paper's numbers at a glance.
+Every table and figure the paper reports renders as a fixed-width ASCII
+table, so runs can be compared against the paper's numbers at a glance.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 
 def ascii_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -41,19 +40,3 @@ def _numeric(text: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def ascii_bar_chart(labels: Sequence[str], values: Sequence[float],
-                    width: int = 40, title: str = "",
-                    unit: str = "") -> str:
-    """Render one series as horizontal bars."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    peak = max(values) if values else 0.0
-    label_width = max((len(label) for label in labels), default=0)
-    for label, value in zip(labels, values):
-        bar = "#" * (int(width * value / peak) if peak else 0)
-        lines.append("%s | %-*s %8.2f%s"
-                     % (label.ljust(label_width), width, bar, value, unit))
-    return "\n".join(lines)

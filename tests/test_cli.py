@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments.faults import (
     JobRecord,
     SweepReport,
 )
+from repro.workloads import workload_names
 
 
 def test_workloads_listing(capsys):
@@ -91,6 +93,18 @@ def test_experiment_unknown():
 def test_experiment_unknown_workload():
     with pytest.raises(SystemExit, match="unknown workload"):
         main(["experiment", "fig2", "--workloads", "nope"])
+
+
+def test_workload_lists_accept_all(monkeypatch, capsys):
+    seen = []
+
+    def fake_analyze(name, **_kwargs):
+        seen.append(name)
+        return SimpleNamespace(render=lambda: name, to_dict=dict, ok=True)
+
+    monkeypatch.setattr("repro.analysis.analyze_workload", fake_analyze)
+    assert main(["analyze", "all"]) == 0
+    assert seen == workload_names()
 
 
 def test_simulate_fp_kind_requires_helios_mode():
@@ -448,9 +462,3 @@ def test_static_unknown_workload():
 def test_static_unknown_mode():
     with pytest.raises(SystemExit, match="unknown mode"):
         main(["static", "bitcount", "--mode", "banana"])
-
-
-def test_analyze_with_static_contract(capsys):
-    assert main(["analyze", "dijkstra", "--mode", "Helios",
-                 "--max-uops", "10000", "--static"]) == 0
-    assert "no divergences" in capsys.readouterr().out

@@ -14,7 +14,6 @@ from repro import (
     simulate_modes,
 )
 from repro.config import CacheConfig
-from repro.core.simulator import count_eligible_predictive_pairs
 from repro.isa import assemble, run_program
 from repro.workloads import synthesize_trace
 
@@ -110,7 +109,8 @@ def test_eligible_pair_counting():
         ecall
     """))
     # (x4,x5) is NCSF (needs prediction); (x6,x7) is static CSF.
-    assert count_eligible_predictive_pairs(trace, ProcessorConfig()) == 1
+    result = simulate(trace, ProcessorConfig().with_mode(FusionMode.HELIOS))
+    assert result.eligible_predictive_pairs == 1
 
 
 def test_synthetic_trace_runs_through_pipeline():

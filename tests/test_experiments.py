@@ -18,7 +18,7 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.stats import amean, ascii_bar_chart, ascii_table, geomean, normalize, percent
+from repro.stats import amean, ascii_table, geomean, percent
 
 # Small, fast subset covering the main behaviours.
 SUBSET = ["657.xz_1", "bitcount", "dijkstra"]
@@ -39,22 +39,10 @@ def test_amean_and_percent():
     assert percent(1, 0) == 0.0
 
 
-def test_normalize():
-    values = {"a": 2.0, "b": 3.0}
-    normalized = normalize(values, "a")
-    assert normalized == {"a": 1.0, "b": 1.5}
-
-
 def test_ascii_table_renders():
     text = ascii_table(["name", "value"], [["x", 1.5], ["y", 2.0]],
                        title="T")
     assert "T" in text and "name" in text and "1.50" in text
-
-
-def test_ascii_bar_chart():
-    text = ascii_bar_chart(["a", "bb"], [1.0, 2.0], width=10, title="bars")
-    assert "bars" in text
-    assert "##########" in text  # the max value fills the width
 
 
 # ---- sweeps ------------------------------------------------------------------

@@ -311,8 +311,7 @@ def hot_loop_errors(source: str, budgets: dict = None,
 DEFINITIONS_DIR = "src/repro"
 
 #: Directories whose text can keep a definition alive.
-REFERENCE_DIRS = ("src", "tests", "tools", "benchmarks", "examples",
-                  "reprobench")
+REFERENCE_DIRS = ("src", "tests", "tools", "examples", "reprobench")
 
 _WORD = re.compile(r"\w+")
 
