@@ -8,8 +8,8 @@ the µ-architectural sanitizer.
   and bit-matches committed architectural state against a fresh
   interpreter replay.
 * :mod:`repro.analysis.sanitizer` — always-off invariant assertions
-  over rename/LSQ/ROB, armed by ``ProcessorConfig.sanitize`` or
-  ``REPRO_SANITIZE=1``.
+  over rename/LSQ/ROB, armed by passing a :class:`Sanitizer` to the
+  pipeline core.
 
 ``differential`` is exposed lazily: it imports :mod:`repro.fusion`,
 which itself imports :mod:`repro.analysis.legality` for the shared
@@ -24,12 +24,7 @@ from repro.analysis.legality import (
     Reason,
     analyze_trace_legality,
 )
-from repro.analysis.sanitizer import (
-    SANITIZE_ENV,
-    Sanitizer,
-    SanitizerError,
-    sanitize_env_enabled,
-)
+from repro.analysis.sanitizer import Sanitizer, SanitizerError
 
 _LAZY = (
     "AnalysisReport",
@@ -46,10 +41,8 @@ __all__ = [
     "PairVerdict",
     "Reason",
     "analyze_trace_legality",
-    "SANITIZE_ENV",
     "Sanitizer",
     "SanitizerError",
-    "sanitize_env_enabled",
 ] + list(_LAZY)
 
 

@@ -1,6 +1,8 @@
 """µ-architectural sanitizer: always-off invariant assertions.
 
-Armed by ``ProcessorConfig.sanitize`` or ``REPRO_SANITIZE=1``, the
+Armed by passing an instance to
+:class:`~repro.pipeline.core.PipelineCore` (``sanitizer=``), as
+:func:`repro.analysis.differential.check_pipeline` does, the
 sanitizer walks the pipeline's live structures once per simulated
 cycle and raises :class:`SanitizerError` on the first broken
 invariant, with cycle- and µ-op-level provenance.  The invariants are
@@ -23,30 +25,14 @@ the structural half of Helios' correctness argument:
   already-committed residents, issue-queue census matching, and an
   LSQ side-table entry for exactly the in-flight memory µ-ops.
 
-The per-cycle hooks cost one ``is not None`` test when disarmed; the
-perf harness records that as ``sanitize_off_overhead_pct`` under the
-same <2 % contract as the observability layer.
+The per-cycle hooks cost one ``is not None`` test when disarmed, and
+never a call: lint rule 5 (``tools/lint_repro.py``) checks that every
+hook call in the core's per-cycle methods sits under such a test.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = [
-    "SANITIZE_ENV",
-    "Sanitizer",
-    "SanitizerError",
-    "sanitize_env_enabled",
-]
-
-#: Environment switch mirroring ``ProcessorConfig.sanitize``.
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-
-def sanitize_env_enabled() -> bool:
-    """True when ``REPRO_SANITIZE`` requests an armed sanitizer."""
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
+__all__ = ["Sanitizer", "SanitizerError"]
 
 
 class SanitizerError(AssertionError):
@@ -71,9 +57,9 @@ class SanitizerError(AssertionError):
 class Sanitizer(object):
     """Drives the per-unit ``sanitize_violations`` hooks over a core.
 
-    Duck-typed against :class:`repro.pipeline.core.PipelineCore` (this
-    module deliberately imports nothing from ``repro.pipeline`` so the
-    core can lazy-import it without a cycle).
+    Duck-typed against :class:`repro.pipeline.core.PipelineCore`: the
+    core never imports this module, and this module imports nothing
+    from ``repro.pipeline``.
     """
 
     def __init__(self, every: int = 1):

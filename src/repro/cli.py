@@ -247,7 +247,7 @@ def _cmd_experiment(args) -> int:
         return 0
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     engine = SweepEngine(jobs=args.jobs, cache=cache,
-                         use_cache=False if args.no_cache else None,
+                         use_cache=not args.no_cache,
                          job_timeout=args.job_timeout, retries=args.retries)
     try:
         result = experiment(workloads, config=config, engine=engine)

@@ -139,20 +139,6 @@ class ProcessorConfig:
     #: decode-group misalignment (Section IV-A; off in the paper's
     #: evaluation and by default here).
     uop_cache_enabled: bool = False
-    #: Record the per-µ-op pipeline event trace (repro.obs).  Purely
-    #: observational — never changes timing — so it is excluded from
-    #: the result-cache fingerprint (NON_TIMING_FIELDS).
-    trace_events: bool = False
-    #: Arm the always-off µ-arch sanitizer (repro.analysis.sanitizer):
-    #: per-cycle RAT/ROB/LSQ/NCS invariant assertions.  Diagnostic
-    #: only — a run either raises SanitizerError or produces exactly
-    #: the same results, so it is excluded from the fingerprint.  Also
-    #: reachable via the REPRO_SANITIZE environment variable.
-    sanitize: bool = False
-
-    #: Fields that cannot affect simulation outcomes; excluded from
-    #: :meth:`fingerprint` so toggling them never invalidates caches.
-    NON_TIMING_FIELDS = ("trace_events", "sanitize")
 
     def with_mode(self, mode: FusionMode) -> "ProcessorConfig":
         """A copy of this configuration with a different fusion mode."""
@@ -182,17 +168,14 @@ class ProcessorConfig:
     def fingerprint(self) -> str:
         """Stable short hash over every parameter that affects results.
 
-        Two configurations share a fingerprint iff every *timing* field
-        — including the fusion mode and nested cache geometries — is
+        Two configurations share a fingerprint iff every field —
+        including the fusion mode and nested cache geometries — is
         equal, so it is safe to key persistent result caches on
-        ``(workload, fingerprint)``.  Purely observational fields
-        (``NON_TIMING_FIELDS``, e.g. ``trace_events``) are excluded:
-        turning tracing on must hit the same cache entries.
+        ``(workload, fingerprint)``.  Every field is a timing parameter:
+        diagnostics (the event observer, the sanitizer) are armed by
+        passing their objects to the core, never through the config.
         """
-        data = self.to_dict()
-        for name in self.NON_TIMING_FIELDS:
-            data.pop(name, None)
-        payload = json.dumps(data, sort_keys=True,
+        payload = json.dumps(self.to_dict(), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

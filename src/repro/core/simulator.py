@@ -20,7 +20,7 @@ from repro.fusion.oracle import cached_oracle_pairs
 from repro.isa.interp import run_program
 from repro.isa.program import Program
 from repro.isa.trace import Trace
-from repro.obs import PipelineObserver, observer_from_environment
+from repro.obs import PipelineObserver
 from repro.pipeline.core import PipelineCore
 
 
@@ -42,14 +42,11 @@ def simulate(workload: Union[Program, Trace],
 
     ``workload`` may be an assembled :class:`Program` (interpreted
     first) or an already-captured :class:`Trace`.  Pass an
-    ``observer`` (or set ``config.trace_events`` /
-    ``REPRO_TRACE_EVENTS``) to record the per-µ-op pipeline event
-    trace; the observer is returned on ``result.observer``.
+    ``observer`` to record the per-µ-op pipeline event trace; it is
+    returned on ``result.observer``.
     """
     config = config or ProcessorConfig()
     trace = run_program(workload) if isinstance(workload, Program) else workload
-    if observer is None:
-        observer = observer_from_environment(config.trace_events)
     core = PipelineCore(trace, config,
                         oracle_pairs=_shared_oracle_pairs(trace, config),
                         observer=observer)

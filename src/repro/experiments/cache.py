@@ -46,9 +46,6 @@ CACHE_SCHEMA_VERSION = 3
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Set (to anything non-empty) to disable the persistent cache.
-NO_CACHE_ENV = "REPRO_NO_CACHE"
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else
@@ -59,10 +56,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro"
-
-
-def cache_enabled_by_default() -> bool:
-    return not os.environ.get(NO_CACHE_ENV)
 
 
 def cache_key(workload: str, config: ProcessorConfig) -> str:

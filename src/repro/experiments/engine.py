@@ -40,16 +40,12 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.results import SimResult
 from repro.core.simulator import simulate
-from repro.experiments.cache import (
-    ResultCache,
-    cache_enabled_by_default,
-    cache_key,
-)
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.faults import (
+    DEFAULT_BACKOFF_BASE_S,
     JobFailure,
     SweepReport,
     as_failure,
-    default_backoff_base,
     default_job_retries,
     default_job_timeout,
     maybe_inject_fault,
@@ -151,9 +147,9 @@ class SweepEngine:
     kills and retries jobs that hang past the deadline; ``retries``
     (default ``$REPRO_JOB_RETRIES`` else 2) re-attempts failed jobs
     with deterministic exponential backoff (base ``backoff_base``,
-    default ``$REPRO_JOB_BACKOFF`` else 0.25 s); a job that failed the
-    pool twice degrades to in-process serial execution.  After a
-    ``sweep`` that ran any job, ``last_report`` holds the
+    default 0.25 s); a job that failed the pool twice degrades to
+    in-process serial execution.  After a ``sweep`` that ran any job,
+    ``last_report`` holds the
     :class:`~repro.experiments.faults.SweepReport` accounting for
     every attempt.  ``jobs`` follows :func:`parse_jobs` (default
     ``$REPRO_JOBS`` else 1).
@@ -162,15 +158,14 @@ class SweepEngine:
     def __init__(self,
                  jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 use_cache: Optional[bool] = None,
+                 use_cache: bool = True,
                  job_timeout: Optional[float] = None,
                  retries: Optional[int] = None,
-                 backoff_base: Optional[float] = None):
+                 backoff_base: float = DEFAULT_BACKOFF_BASE_S):
         self.jobs = (default_jobs() if jobs is None
                      else parse_jobs(jobs))
         self.cache = cache if cache is not None else ResultCache()
-        self.use_cache = (use_cache if use_cache is not None
-                          else cache_enabled_by_default())
+        self.use_cache = use_cache
         self.memo: Dict[str, SimResult] = {}
         self.job_timeout = (job_timeout if job_timeout is not None
                             else default_job_timeout())
@@ -178,8 +173,7 @@ class SweepEngine:
             self.job_timeout = None  # 0 is documented shorthand for off
         self.retries = retries if retries is not None else \
             default_job_retries()
-        self.backoff_base = (backoff_base if backoff_base is not None
-                             else default_backoff_base())
+        self.backoff_base = backoff_base
         self.last_report: Optional[SweepReport] = None
 
     # -------------------------------------------------------------- lookup --

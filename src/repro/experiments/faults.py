@@ -15,10 +15,9 @@ survive all three:
   never a completed sibling.  The supervisor enforces an optional
   per-job deadline (``REPRO_JOB_TIMEOUT``, default off so existing
   flows stay bit-identical), retries failed attempts with capped,
-  jitter-free exponential backoff (``REPRO_JOB_RETRIES`` /
-  ``REPRO_JOB_BACKOFF``), and degrades a job that failed the pool
-  twice to in-process serial execution in the supervisor itself, where
-  worker loss is impossible.
+  jitter-free exponential backoff (``REPRO_JOB_RETRIES``), and
+  degrades a job that failed the pool twice to in-process serial
+  execution in the supervisor itself, where worker loss is impossible.
 * :class:`SweepReport` — a structured account of every attempt (where
   it ran, how long, how it ended) so a sweep's fault history is
   inspectable (``repro sweep-report`` / ``--report-json``) instead of
@@ -59,13 +58,11 @@ JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
 #: How many times a failed job is re-attempted (beyond its first try).
 JOB_RETRIES_ENV = "REPRO_JOB_RETRIES"
 
-#: Base of the exponential backoff schedule, in seconds.
-JOB_BACKOFF_ENV = "REPRO_JOB_BACKOFF"
-
 #: Test-only fault injection spec, e.g. ``hang:0.1,exit:0.05,raise:0.2``.
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 
 DEFAULT_JOB_RETRIES = 2
+#: Base of the exponential backoff schedule, in seconds.
 DEFAULT_BACKOFF_BASE_S = 0.25
 #: Delays never exceed this, however many attempts a job accumulates.
 BACKOFF_CAP_S = 30.0
@@ -127,27 +124,6 @@ def default_job_retries() -> int:
 
 default_job_retries.__doc__ = (default_job_retries.__doc__
                                % DEFAULT_JOB_RETRIES)
-
-
-def default_backoff_base() -> float:
-    """Backoff base from ``$REPRO_JOB_BACKOFF`` (seconds, default
-    %.2f); ``0`` disables the delays (tests use this)."""
-    raw = os.environ.get(JOB_BACKOFF_ENV, "").strip()
-    if not raw:
-        return DEFAULT_BACKOFF_BASE_S
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError("invalid %s=%r: expected seconds (float)"
-                         % (JOB_BACKOFF_ENV, raw)) from None
-    if value < 0 or value != value:
-        raise ValueError("invalid %s=%r: backoff cannot be negative"
-                         % (JOB_BACKOFF_ENV, raw))
-    return value
-
-
-default_backoff_base.__doc__ = (default_backoff_base.__doc__
-                                % DEFAULT_BACKOFF_BASE_S)
 
 
 def backoff_delay(next_attempt: int, base: float) -> float:
@@ -572,7 +548,7 @@ def run_jobs(jobs: Sequence[object], worker: WorkerFn,
              workers: int,
              timeout: Optional[float] = None,
              retries: Optional[int] = None,
-             backoff_base: Optional[float] = None,
+             backoff_base: float = DEFAULT_BACKOFF_BASE_S,
              mp_context=None,
              ) -> Tuple[List[Tuple[bool, object]], SweepReport]:
     """Run every job fault-tolerantly; returns (outcomes, report).
@@ -591,8 +567,6 @@ def run_jobs(jobs: Sequence[object], worker: WorkerFn,
     if len(jobs) != len(labels):
         raise ValueError("jobs and labels length mismatch")
     retries = default_job_retries() if retries is None else retries
-    backoff_base = (default_backoff_base() if backoff_base is None
-                    else backoff_base)
     max_attempts = 1 + max(0, retries)
     records = [JobRecord(workload=w, mode=m) for w, m in labels]
     report = SweepReport(jobs=records, workers=max(1, workers),

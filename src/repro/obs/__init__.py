@@ -1,20 +1,17 @@
-"""Observability layer: stats registry, pipeline event trace, exporters.
+"""Observability layer: pipeline event trace and observer, exporters.
 
 See DESIGN.md ("Observability") for the event schema, the top-down
 CPI bucket definitions, and Perfetto loading instructions.
 """
 
 from .commit_log import CommitLog
-from .registry import Counter, Histogram, NULL_REGISTRY, StatsRegistry
 from .events import (
     DEFAULT_RING_CAPACITY,
     EVENT_KINDS,
     STAGE_KINDS,
-    TRACE_EVENTS_ENV,
     EventRing,
+    Histogram,
     PipelineObserver,
-    observer_from_environment,
-    trace_events_env_enabled,
 )
 from .export import (
     chrome_trace,
@@ -25,18 +22,12 @@ from .export import (
 
 __all__ = [
     "CommitLog",
-    "Counter",
-    "Histogram",
-    "NULL_REGISTRY",
-    "StatsRegistry",
     "DEFAULT_RING_CAPACITY",
     "EVENT_KINDS",
     "STAGE_KINDS",
-    "TRACE_EVENTS_ENV",
     "EventRing",
+    "Histogram",
     "PipelineObserver",
-    "observer_from_environment",
-    "trace_events_env_enabled",
     "chrome_trace",
     "cpi_report",
     "occupancy_report",

@@ -8,24 +8,18 @@ bounded ring buffer (:class:`EventRing`), so tracing a long run keeps
 the *last* N events instead of exhausting memory; the number of
 events that fell off the front is reported so exporters can say so.
 
-Tracing is opt-in: construct a :class:`PipelineObserver` and hand it
-to :class:`~repro.pipeline.core.PipelineCore` (or set
-``ProcessorConfig.trace_events`` / the ``REPRO_TRACE_EVENTS``
-environment variable and let :func:`repro.core.simulator.simulate`
-build one).  With no observer attached the pipeline's emission sites
-reduce to a single ``is None`` test per site.
+Tracing is opt-in, and there is one way to opt in: construct a
+:class:`PipelineObserver` and pass it to
+:func:`repro.core.simulator.simulate` or
+:class:`~repro.pipeline.core.PipelineCore` (``repro debug`` does).
+With no observer attached the pipeline's emission sites reduce to a
+single ``is None`` test per site.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
-
-from .registry import StatsRegistry
-
-#: Environment variable that turns on event tracing in ``simulate()``.
-TRACE_EVENTS_ENV = "REPRO_TRACE_EVENTS"
+from typing import Deque, Dict, List, Tuple
 
 #: Default ring capacity — 65536 events is plenty for our kernels while
 #: bounding a pathological run to a few MB.
@@ -94,48 +88,93 @@ class EventRing:
         return iter(self._events)
 
 
-def trace_events_env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
-    """True when ``REPRO_TRACE_EVENTS`` asks for tracing."""
-    env = os.environ if environ is None else environ
-    raw = env.get(TRACE_EVENTS_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+class Histogram:
+    """A named histogram over small integer observations.
+
+    Occupancies and queue depths are small bounded integers, so the
+    distribution is kept exactly, as a value -> count map — no binning
+    error, O(1) observes, and percentiles computed on demand.
+    """
+
+    __slots__ = ("name", "counts", "count", "total", "max")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.counts: Dict[int, int] = {}
+        self.count = 0
+        self.total = 0
+        self.max = 0
+
+    def observe(self, value: int) -> None:
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
+        self.count += 1
+        self.total += value
+        if value > self.max:
+            self.max = value
+
+    @property
+    def mean(self) -> float:
+        if not self.count:
+            return 0.0
+        return self.total / self.count
+
+    def percentile(self, fraction: float) -> int:
+        """Smallest observed value covering ``fraction`` of samples."""
+        if not self.count:
+            return 0
+        needed = fraction * self.count
+        seen = 0
+        for value in sorted(self.counts):
+            seen += self.counts[value]
+            if seen >= needed:
+                return value
+        return self.max
+
+    def summary(self) -> Dict[str, float]:
+        """JSON-safe digest: count/mean/max plus p50/p90/p99."""
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "max": self.max,
+            "p50": self.percentile(0.50),
+            "p90": self.percentile(0.90),
+            "p99": self.percentile(0.99),
+        }
+
+    def __repr__(self) -> str:
+        return "<Histogram %s n=%d mean=%.2f max=%d>" % (
+            self.name, self.count, self.mean, self.max)
 
 
 class PipelineObserver:
     """Collects everything the pipeline can tell us about one run.
 
-    Owns a :class:`StatsRegistry` (per-structure occupancy histograms,
-    per-kind event counters) and an :class:`EventRing`.  The pipeline
-    calls :meth:`emit` at stage transitions and :meth:`sample_occupancy`
-    once per cycle; both are written to be cheap, and neither is called
-    at all when no observer is attached.
+    Owns an :class:`EventRing`, a count of emissions per event kind and
+    one occupancy :class:`Histogram` per pipeline structure.  The
+    pipeline calls :meth:`emit` at stage transitions and
+    :meth:`sample_occupancy` once per cycle; both are written to be
+    cheap, and neither is called at all when no observer is attached.
     """
 
-    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 registry: Optional[StatsRegistry] = None):
-        self.registry = StatsRegistry() if registry is None else registry
+    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY):
         self.ring = EventRing(ring_capacity)
-        self._kind_counters = {
-            kind: self.registry.counter("events.%s" % kind)
-            for kind in EVENT_KINDS
-        }
-        self._occupancy: Dict[str, object] = {}
+        self._counts: Dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
+        self._occupancy: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------- events --
 
     def emit(self, cycle: int, kind: str, seq: int, detail: str = "") -> None:
         """Record one pipeline event.  ``kind`` must be in EVENT_KINDS."""
         self.ring.append((cycle, kind, seq, detail))
-        self._kind_counters[kind].add()
+        self._counts[kind] += 1
 
     def events(self) -> List[Event]:
         return self.ring.events()
 
     def event_counts(self) -> Dict[str, int]:
         """Total emissions per kind (independent of ring eviction)."""
-        return {kind: counter.value
-                for kind, counter in self._kind_counters.items()
-                if counter.value}
+        return {kind: count for kind, count in self._counts.items() if count}
 
     # ---------------------------------------------------------- occupancy --
 
@@ -143,20 +182,9 @@ class PipelineObserver:
         """Record one cycle's occupancy of a pipeline structure."""
         hist = self._occupancy.get(structure)
         if hist is None:
-            hist = self._occupancy[structure] = self.registry.histogram(
-                "occupancy.%s" % structure)
+            hist = self._occupancy[structure] = Histogram(structure)
         hist.observe(depth)
 
     def occupancy_histograms(self):
         """(structure, Histogram) pairs in registration order."""
         return list(self._occupancy.items())
-
-
-def observer_from_environment(
-        trace_events: bool,
-        environ: Optional[Dict[str, str]] = None,
-) -> Optional[PipelineObserver]:
-    """Build an observer when the config flag or env var asks for one."""
-    if trace_events or trace_events_env_enabled(environ):
-        return PipelineObserver()
-    return None

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import operator
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -240,15 +239,9 @@ class PipelineCore:
         #: Commit log (repro.obs.commit_log): retirement/drain/UCH
         #: record for the differential checker.  Off by default.
         self._clog = commit_log
-        #: µ-arch sanitizer (repro.analysis.sanitizer), armed by an
-        #: explicit instance, ``config.sanitize``, or REPRO_SANITIZE.
+        #: µ-arch sanitizer (repro.analysis.sanitizer), armed only by
+        #: passing an instance.  Off by default.
         self._san = sanitizer
-        if self._san is None and (config.sanitize
-                                  or os.environ.get("REPRO_SANITIZE")):
-            from repro.analysis.sanitizer import (
-                Sanitizer, sanitize_env_enabled)
-            if config.sanitize or sanitize_env_enabled():
-                self._san = Sanitizer()
         self._slots: Dict[str, int] = {name: 0 for name in TOPDOWN_BUCKETS}
         self._committed_this_cycle = 0
         self._commit_stall_bucket: Optional[str] = None

@@ -353,7 +353,7 @@ class RenameUnit:
     # -- sanitizer hooks --------------------------------------------------------
 
     def sanitize_violations(self, live_uops, ghosts_in_latch) -> List[str]:
-        """Always-off invariant checks (armed by ``ProcessorConfig.sanitize``).
+        """Always-off invariant checks, run by an armed ``Sanitizer``.
 
         ``live_uops`` is every in-flight (renamed, unsquashed) µ-op the
         core still tracks; ``ghosts_in_latch`` the validated tail ghosts

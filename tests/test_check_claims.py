@@ -1,6 +1,7 @@
 """The CI claims check (tools/check_claims.py): every claim holds on the
-committed record's numbers, fails when one of its inputs flips, and the
-record comparison names what changed.  No simulation."""
+committed record's numbers, fails when one of its inputs flips, a cell
+that left its full-length pin fails and is named, and the record
+comparison names what changed.  No simulation."""
 
 import copy
 import sys
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 from repro.core.storage import helios_storage_budget
 from repro.experiments.figures import ExperimentResult
+from repro.perf.golden import stats_sha
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -182,3 +184,53 @@ def test_record_comparison_names_what_changed():
     trailer = record + "\n[generated in 101s]\n"
     assert "changed: header " in check_claims.record_failure(trailer, SECTIONS)
     assert "table2, fig10" in check_claims.record_failure("", SECTIONS)
+
+
+REFERENCE = {"cells": {
+    "605.mcf|Helios": {"cycles": 12751, "digest": "4368562e1d2fd9ca618e"},
+}}
+
+
+def _cell(**overrides):
+    cell = {"workload": "605.mcf", "mode": "Helios", "cycles": 12751,
+            "digest": "4368562e1d2fd9ca"}
+    cell.update(overrides)
+    return cell
+
+
+def test_matching_cell_passes():
+    assert check_claims.cell_failure(_cell(), REFERENCE) is None
+
+
+def test_moved_cycles_fail():
+    failure = check_claims.cell_failure(_cell(cycles=12752), REFERENCE)
+    assert "cycles 12752, pinned 12751" in failure
+
+
+def test_changed_digest_fails():
+    failure = check_claims.cell_failure(_cell(digest="0" * 16), REFERENCE)
+    assert "digest" in failure
+
+
+def test_missing_reference_cell_fails():
+    failure = check_claims.cell_failure(_cell(mode="NoFusion"), REFERENCE)
+    assert "no pinned cell 605.mcf|NoFusion" in failure
+
+
+def _result(cycles):
+    stats = SimpleNamespace(to_dict=lambda: {"cycles": cycles})
+    return SimpleNamespace(cycles=cycles, stats=stats)
+
+
+def test_pin_failures_name_each_moved_cell():
+    reference = {"cells": {
+        "crc32|Helios": {"cycles": 700,
+                         "digest": stats_sha({"cycles": 700}) + "0000"},
+        "dijkstra|Helios": {"cycles": 900, "digest": "0" * 20}}}
+    results = {"crc32": {"Helios": _result(700)},
+               "dijkstra": {"Helios": _result(901),
+                            "NoFusion": _result(800)}}
+    assert check_claims.pin_failures(results, reference) == [
+        "dijkstra|Helios: cycles 901, pinned 900",
+        "dijkstra|NoFusion: no pinned cell dijkstra|NoFusion in "
+        "reprobench/reference.json"]

@@ -1,12 +1,11 @@
-"""Every ProcessorConfig field is classified, and the fingerprint
-respects that classification.
+"""Every ProcessorConfig field is a timing parameter, and every one
+moves the fingerprint.
 
-``TIMING_FIELD_SAMPLES`` maps each *timing* field to a non-default
-sample value; the tests prove each sample moves the cache fingerprint
-(so the persistent result cache cannot serve stale timing) while the
-``NON_TIMING_FIELDS`` toggles provably do not.  ``tools/lint_repro.py``
-reads this table at CI time: a new ProcessorConfig field that appears
-in neither place fails the lint.
+``TIMING_FIELD_SAMPLES`` maps each field to a non-default sample value;
+the tests prove each sample moves the cache fingerprint, so the
+persistent result cache cannot serve stale timing.
+``tools/lint_repro.py`` reads this table at CI time: a new
+ProcessorConfig field with no sample here fails the lint.
 """
 
 import dataclasses
@@ -63,23 +62,11 @@ TIMING_FIELD_SAMPLES = {
     "uop_cache_enabled": True,
 }
 
-NON_TIMING_SAMPLES = {
-    "trace_events": True,
-    "sanitize": True,
-}
-
 ALL_FIELDS = [f.name for f in dataclasses.fields(ProcessorConfig)]
 
 
 def test_every_field_classified_exactly_once():
-    timing = set(TIMING_FIELD_SAMPLES)
-    non_timing = set(ProcessorConfig.NON_TIMING_FIELDS)
-    assert not timing & non_timing
-    assert timing | non_timing == set(ALL_FIELDS)
-
-
-def test_non_timing_samples_cover_declaration():
-    assert set(NON_TIMING_SAMPLES) == set(ProcessorConfig.NON_TIMING_FIELDS)
+    assert set(TIMING_FIELD_SAMPLES) == set(ALL_FIELDS)
 
 
 @pytest.mark.parametrize("name", sorted(TIMING_FIELD_SAMPLES))
@@ -90,15 +77,6 @@ def test_timing_field_changes_fingerprint(name):
         "sample for %r must differ from the default" % name
     varied = dataclasses.replace(base, **{name: sample})
     assert varied.fingerprint() != base.fingerprint()
-
-
-@pytest.mark.parametrize("name", sorted(NON_TIMING_SAMPLES))
-def test_non_timing_field_keeps_fingerprint(name):
-    base = ProcessorConfig()
-    sample = NON_TIMING_SAMPLES[name]
-    assert sample != getattr(base, name)
-    varied = dataclasses.replace(base, **{name: sample})
-    assert varied.fingerprint() == base.fingerprint()
 
 
 def test_fingerprint_stable_across_equal_instances():

@@ -14,16 +14,13 @@ from repro.config import FusionMode
 from repro.experiments.engine import SweepEngine, SweepJobError
 from repro.experiments.faults import (
     BACKOFF_CAP_S,
-    DEFAULT_BACKOFF_BASE_S,
     DEFAULT_JOB_RETRIES,
     FAULT_INJECT_ENV,
-    JOB_BACKOFF_ENV,
     JOB_RETRIES_ENV,
     JOB_TIMEOUT_ENV,
     JobFailure,
     SweepReport,
     backoff_delay,
-    default_backoff_base,
     default_job_retries,
     default_job_timeout,
     ensure_hang_faults_bounded,
@@ -106,30 +103,24 @@ def test_backoff_schedule_is_deterministic_and_capped():
 def test_env_knob_parsing(monkeypatch):
     monkeypatch.delenv(JOB_TIMEOUT_ENV, raising=False)
     monkeypatch.delenv(JOB_RETRIES_ENV, raising=False)
-    monkeypatch.delenv(JOB_BACKOFF_ENV, raising=False)
     assert default_job_timeout() is None
     assert default_job_retries() == DEFAULT_JOB_RETRIES
-    assert default_backoff_base() == DEFAULT_BACKOFF_BASE_S
     monkeypatch.setenv(JOB_TIMEOUT_ENV, "12.5")
     assert default_job_timeout() == 12.5
     monkeypatch.setenv(JOB_TIMEOUT_ENV, "off")
     assert default_job_timeout() is None
     monkeypatch.setenv(JOB_RETRIES_ENV, "5")
     assert default_job_retries() == 5
-    monkeypatch.setenv(JOB_BACKOFF_ENV, "0")
-    assert default_backoff_base() == 0.0
 
 
 @pytest.mark.parametrize("env,bad", [
     (JOB_TIMEOUT_ENV, "soon"), (JOB_TIMEOUT_ENV, "-3"),
     (JOB_RETRIES_ENV, "-1"), (JOB_RETRIES_ENV, "2.5"),
-    (JOB_BACKOFF_ENV, "-0.5"), (JOB_BACKOFF_ENV, "fast"),
 ])
 def test_env_knobs_reject_junk(monkeypatch, env, bad):
     monkeypatch.setenv(env, bad)
     parser = {JOB_TIMEOUT_ENV: default_job_timeout,
-              JOB_RETRIES_ENV: default_job_retries,
-              JOB_BACKOFF_ENV: default_backoff_base}[env]
+              JOB_RETRIES_ENV: default_job_retries}[env]
     with pytest.raises(ValueError, match=env):
         parser()
 

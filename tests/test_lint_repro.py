@@ -14,9 +14,10 @@ CONFIG_SRC = """
 class ProcessorConfig:
     fetch_width: int = 8
     rob_size: int = 352
-    trace_events: bool = False
+    uop_cache_enabled: bool = False
 
-    NON_TIMING_FIELDS = ("trace_events",)
+    def with_mode(self, mode):
+        return self
 """
 
 SAMPLES_SRC = """
@@ -29,11 +30,7 @@ TIMING_FIELD_SAMPLES = {
 
 def test_config_fields_parsed():
     assert lint_repro.config_fields(CONFIG_SRC) == \
-        ["fetch_width", "rob_size", "trace_events"]
-
-
-def test_non_timing_fields_parsed():
-    assert lint_repro.non_timing_fields(CONFIG_SRC) == ("trace_events",)
+        ["fetch_width", "rob_size", "uop_cache_enabled"]
 
 
 def test_timing_sample_fields_parsed():
@@ -48,24 +45,17 @@ def test_timing_sample_fields_rejects_computed_keys():
 
 def test_classification_clean():
     assert lint_repro.classification_errors(
-        ["a", "b", "c"], timing=["a", "b"], non_timing=["c"]) == []
+        ["a", "b", "c"], timing=["a", "b", "c"]) == []
 
 
 def test_classification_flags_unclassified():
-    errors = lint_repro.classification_errors(
-        ["a", "b"], timing=["a"], non_timing=[])
+    errors = lint_repro.classification_errors(["a", "b"], timing=["a"])
     assert len(errors) == 1 and "'b'" in errors[0]
-
-
-def test_classification_flags_double_claim():
-    errors = lint_repro.classification_errors(
-        ["a"], timing=["a"], non_timing=["a"])
-    assert len(errors) == 1 and "both" in errors[0]
 
 
 def test_classification_flags_stale_entry():
     errors = lint_repro.classification_errors(
-        ["a"], timing=["a", "removed_field"], non_timing=[])
+        ["a"], timing=["a", "removed_field"])
     assert len(errors) == 1 and "not a ProcessorConfig field" in errors[0]
 
 
@@ -141,7 +131,7 @@ def test_hot_loop_flags_new_allocation():
 
 def test_hot_loop_flags_unhoisted_attribute_chain():
     src = HOT_CORE_SRC.replace("head = self.rob[0]",
-                               "head = self.stats.registry.count")
+                               "head = self.memory.l1d.latency")
     budgets = {"_run": (0, 0), "_fetch": (0, 1), "_commit": (0, 0)}
     errors = lint_repro.hot_loop_errors(src, budgets)
     assert any("_commit" in e and "chains" in e for e in errors)

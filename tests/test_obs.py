@@ -1,5 +1,5 @@
-"""Tests for the observability layer: the stats registry, the event
-ring + pipeline observer, the Chrome trace / ASCII exporters, the
+"""Tests for the observability layer: the occupancy histogram, the
+event ring + pipeline observer, the Chrome trace / ASCII exporters, the
 top-down CPI accounting surfaced on SimResult, and the ``repro debug``
 command."""
 
@@ -13,28 +13,21 @@ from repro.core.simulator import simulate
 from repro.obs import (
     EVENT_KINDS,
     EventRing,
-    NULL_REGISTRY,
+    Histogram,
     PipelineObserver,
-    StatsRegistry,
     chrome_trace,
     cpi_report,
-    observer_from_environment,
     occupancy_report,
-    trace_events_env_enabled,
     validate_chrome_trace,
 )
-from repro.pipeline.core import TOPDOWN_BUCKETS
+from repro.pipeline.core import TOPDOWN_BUCKETS, PipelineCore
 from repro.workloads import build_workload
 
 
-# ---- registry ----------------------------------------------------------------
+# ---- histogram ---------------------------------------------------------------
 
 def test_registry_counters_and_histograms():
-    reg = StatsRegistry()
-    reg.counter("a").add()
-    reg.counter("a").add(4)
-    assert reg.counter("a").value == 5
-    hist = reg.histogram("depth")
+    hist = Histogram("depth")
     for value in (3, 1, 3, 9):
         hist.observe(value)
     assert hist.count == 4
@@ -42,27 +35,13 @@ def test_registry_counters_and_histograms():
     assert hist.max == 9
     assert hist.percentile(0.5) == 3
     assert hist.percentile(1.0) == 9
-    snap = reg.as_dict()
-    assert snap["counters"] == {"a": 5}
-    assert snap["histograms"]["depth"]["count"] == 4
+    assert hist.summary()["count"] == 4
 
 
 def test_registry_empty_histogram_is_safe():
-    hist = StatsRegistry().histogram("empty")
+    hist = Histogram("empty")
     assert hist.mean == 0.0
     assert hist.percentile(0.95) == 0
-
-
-def test_disabled_registry_is_noop():
-    reg = StatsRegistry(enabled=False)
-    counter = reg.counter("x")
-    counter.add(100)
-    reg.histogram("y").observe(7)
-    assert counter.value == 0
-    assert reg.as_dict() == {"counters": {}, "histograms": {}}
-    # Shared null instruments: no per-name allocation when disabled.
-    assert reg.counter("x") is reg.counter("other")
-    assert NULL_REGISTRY.counter("z").value == 0
 
 
 # ---- event ring --------------------------------------------------------------
@@ -84,19 +63,15 @@ def test_event_ring_rejects_bad_capacity():
         EventRing(capacity=-1)
 
 
-def test_trace_events_env_enabled():
-    assert not trace_events_env_enabled({})
-    for off in ("", "0", "false", "No", "OFF"):
-        assert not trace_events_env_enabled({"REPRO_TRACE_EVENTS": off})
-    for on in ("1", "true", "yes", "chrome"):
-        assert trace_events_env_enabled({"REPRO_TRACE_EVENTS": on})
-
-
-def test_observer_from_environment():
-    assert observer_from_environment(False, {}) is None
-    assert observer_from_environment(True, {}) is not None
-    built = observer_from_environment(False, {"REPRO_TRACE_EVENTS": "1"})
-    assert isinstance(built, PipelineObserver)
+def test_environment_arms_no_diagnostic(monkeypatch):
+    # The observer and the sanitizer are armed only by passing them in;
+    # the variables that once armed them are now ignored.
+    monkeypatch.setenv("REPRO_TRACE_EVENTS", "1")
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    trace = build_workload("bitcount", max_uops=500)
+    config = ProcessorConfig().with_mode(FusionMode.HELIOS)
+    assert simulate(trace, config).observer is None
+    assert PipelineCore(trace, config)._san is None
 
 
 def test_observer_counts_and_occupancy():

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""CI claims check: rewrite ``experiments_output.txt`` and check the
-paper's conclusions.
+"""CI claims check: rewrite ``experiments_output.txt``, check the
+paper's conclusions and the full-length cycle pins.
 
 Usage::
 
@@ -11,18 +11,25 @@ renders the record's ten tables and figures over all 32 workloads and
 runs the seven ablations.  It skips the persistent result cache, so
 results written by older code cannot make the check pass, and takes its
 jobs from ``$REPRO_JOBS``.  The tool prints the ablation results and one
-line per claim, rewrites the record, and exits non-zero if a claim
-fails or the record changed.  After an intended change, review the
-record's diff, update EXPERIMENTS.md if a conclusion moved, and commit
-the file, as with ``tools/update_golden_cycles.py``.
+line per claim, checks each of Figure 10's 192 cells (32 workloads x 6
+modes, read back from the engine's memo, so nothing is simulated twice)
+against its pin in ``reprobench/reference.json`` — ``cycles`` and the
+:func:`~repro.perf.golden.stats_sha` of the full stats — rewrites the
+record, and exits non-zero if a claim fails, a pin moved or is missing,
+or the record changed.  After an intended change, review the record's
+diff, update EXPERIMENTS.md if a conclusion moved, and commit the file,
+as with ``tools/update_golden_cycles.py``; re-pin with
+``python3 reprobench/pin.py``.
 
-The claim and record functions are pure (results in, verdicts out), so
-``tests/test_check_claims.py`` exercises them without simulating.
+The claim, pin and record functions are pure (results in, verdicts
+out), so ``tests/test_check_claims.py`` exercises them without
+simulating.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import operator
 import sys
 from itertools import chain
@@ -30,6 +37,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD = REPO_ROOT / "experiments_output.txt"
+REFERENCE = REPO_ROOT / "reprobench" / "reference.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config import FusionMode, ProcessorConfig  # noqa: E402
@@ -38,6 +46,7 @@ from repro.experiments import (  # noqa: E402
     SweepEngine, figure2, figure3, figure4, figure5, figure8, figure9,
     figure10, table1, table2, table3,
 )
+from repro.perf.golden import stats_sha  # noqa: E402
 
 HEADER = ("Every table and figure of the paper's evaluation, over all 32 "
           "workloads.\nWritten by `PYTHONPATH=src python "
@@ -219,6 +228,35 @@ def ablation_claims(ab: dict):
                  prob.fp_accuracy_pct, ">=", plain.fp_accuracy_pct - 0.5)
 
 
+def cell_failure(cell: dict, reference: dict) -> str | None:
+    """Why a full-length cell differs from its pin, or None."""
+    key = "%s|%s" % (cell["workload"], cell["mode"])
+    pinned = reference["cells"].get(key)
+    if pinned is None:
+        return "no pinned cell %s in reprobench/reference.json" % key
+    if cell["cycles"] != pinned["cycles"]:
+        return "cycles %d, pinned %d" % (cell["cycles"], pinned["cycles"])
+    if cell["digest"] != pinned["digest"][:16]:
+        return "stats digest %s, pinned %s" % (cell["digest"],
+                                               pinned["digest"][:16])
+    return None
+
+
+def pin_failures(results: dict, reference: dict) -> list[str]:
+    """``"workload|mode: why"`` for each cell of ``results``
+    (workload -> mode -> SimResult) that differs from its pin."""
+    failures = []
+    for workload, modes in results.items():
+        for mode, result in modes.items():
+            cell = {"workload": workload, "mode": mode,
+                    "cycles": result.cycles,
+                    "digest": stats_sha(result.stats.to_dict())}
+            failure = cell_failure(cell, reference)
+            if failure:
+                failures.append("%s|%s: %s" % (workload, mode, failure))
+    return failures
+
+
 def render_record(sections: dict) -> str:
     """The record: the header, then each section, a blank line apart."""
     return HEADER + "\n\n".join(sections.values()) + "\n"
@@ -276,6 +314,16 @@ def main() -> int:
             ablation_claims(ablations)):
         failed |= _report("%s  [%s]" % (claim, measured),
                           None if holds else "does not hold")
+    # Figure 10 swept every mode, so these are all memo hits.
+    cells = engine.sweep(list(FusionMode))
+    checked = sum(map(len, cells.values()))
+    failures = pin_failures(
+        cells, json.loads(REFERENCE.read_text(encoding="utf-8")))
+    failed |= _report(
+        "full-length pins: %d of %d cells match reprobench/reference.json"
+        % (checked - len(failures), checked),
+        "; ".join(failures) + " (after an intended timing change, re-pin "
+        "with python3 reprobench/pin.py)" if failures else None)
     sections = {name: result.render() for name, result in figures.items()}
     failure = record_failure(RECORD.read_text(encoding="utf-8"), sections)
     if failure:

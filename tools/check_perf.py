@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI perf gate: full-length cycles, a µops/s tripwire, sampled gates.
+"""CI perf gate: a µops/s tripwire, sampled gates, a census floor.
 
 Usage::
 
@@ -7,20 +7,18 @@ Usage::
 
 Takes no arguments, reads no environment variable and writes no file.
 It measures and checks in one process, prints one line per cell or row,
-and exits non-zero on any failure.  Four checks:
+and exits non-zero on any failure.  Three checks:
 
-1. **Full-length cycle exactness.**  605.mcf, 657.xz_1 and dijkstra run
-   under NoFusion and Helios at the default capture.  Each cell's
-   ``cycles`` must equal its pin in ``reprobench/reference.json``, and
-   :func:`repro.perf.golden.stats_sha` of its full stats must equal the
-   first 16 characters of the pinned ``digest`` (both sides hash the
-   same sorted compact JSON).  A cell with no pin fails.
-2. **µops/s tripwire.**  Σ committed µ-ops / Σ ``PipelineCore.run``
-   seconds over those six cells must reach :data:`UOPS_PER_S_FLOOR`.
-   This is a catastrophic-regression floor, not a target: CI runners
-   are slow and shared, and a healthy run clears it several times over.
-   Speed itself is measured by ``reprobench/``, with noise bounds.
-3. **Sampled simulation.**  The same workloads, scaled to
+1. **µops/s tripwire.**  605.mcf, 657.xz_1 and dijkstra run under
+   NoFusion and Helios at the default capture.  Σ committed µ-ops /
+   Σ ``PipelineCore.run`` seconds over those six cells must reach
+   :data:`UOPS_PER_S_FLOOR`.  This is a catastrophic-regression floor,
+   not a target: CI runners are slow and shared, and a healthy run
+   clears it several times over.  Speed itself is measured by
+   ``reprobench/``, with noise bounds.  The cells' cycles are checked
+   against their full-length pins by ``tools/check_claims.py``, with
+   the other 186.
+2. **Sampled simulation.**  The same workloads, scaled to
    :data:`SAMPLED_UOPS` µ-ops, run under Helios in full detail (oracle
    pairing + pipeline run) and through ``sampled_simulate`` with
    :data:`SAMPLED_WINDOWS` strata of :data:`SAMPLED_DETAIL_UOPS`-µ-op
@@ -28,10 +26,10 @@ and exits non-zero on any failure.  Four checks:
    unless the estimate fell back to exact full detail, and the IPC
    error against full detail must lie within the estimate's reported
    95 %-confidence bound.
-4. **Census tripwire.**  The oracle census behind Figures 2, 4, 5 and
+3. **Census tripwire.**  The oracle census behind Figures 2, 4, 5 and
    Table I (:func:`repro.fusion.oracle.analyze_trace`), run once over
    every catalog trace with nothing memoised, must reach
-   :data:`CENSUS_UOPS_PER_S_FLOOR` µ-ops per second.  Like check 2,
+   :data:`CENSUS_UOPS_PER_S_FLOOR` µ-ops per second.  Like check 1,
    this is a catastrophic-regression floor, not a target.
 
 The check functions are pure (measured rows in, failure text out) so
@@ -41,13 +39,11 @@ The check functions are pure (measured rows in, failure text out) so
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REFERENCE_PATH = os.path.join(REPO_ROOT, "reprobench", "reference.json")
 
 WORKLOADS = ("605.mcf", "657.xz_1", "dijkstra")
 MODES = ("NoFusion", "Helios")
@@ -66,20 +62,6 @@ SAMPLED_DETAIL_UOPS = 1000
 #: headroom for slow runners and still catches a sampler that stopped
 #: skipping work.
 SAMPLED_SPEEDUP_FLOOR = 3.0
-
-
-def cell_failure(cell: dict, reference: dict) -> str | None:
-    """Why a full-length cell differs from its pin, or None."""
-    key = "%s|%s" % (cell["workload"], cell["mode"])
-    pinned = reference["cells"].get(key)
-    if pinned is None:
-        return "no pinned cell %s in reprobench/reference.json" % key
-    if cell["cycles"] != pinned["cycles"]:
-        return "cycles %d, pinned %d" % (cell["cycles"], pinned["cycles"])
-    if cell["digest"] != pinned["digest"][:16]:
-        return "stats digest %s, pinned %s" % (cell["digest"],
-                                               pinned["digest"][:16])
-    return None
 
 
 def uops_per_s(cells: list[dict]) -> float:
@@ -131,7 +113,6 @@ def _timed(fn, *args, **kwargs):
 
 def measure_cells() -> list[dict]:
     from repro.config import FusionMode, ProcessorConfig
-    from repro.perf.golden import stats_sha
     from repro.pipeline.core import PipelineCore
     from repro.workloads import build_workload
 
@@ -144,7 +125,6 @@ def measure_cells() -> list[dict]:
             stats, run_s = _timed(core.run)
             cells.append({"workload": name, "mode": mode,
                           "cycles": stats.cycles,
-                          "digest": stats_sha(stats.to_dict()),
                           "uops": stats.instructions, "run_s": run_s})
     return cells
 
@@ -201,16 +181,12 @@ def _report(label: str, failure: str | None) -> bool:
 
 
 def main() -> int:
-    with open(REFERENCE_PATH, encoding="utf-8") as handle:
-        reference = json.load(handle)
     failed = False
     cells = measure_cells()
     for cell in cells:
-        failed |= _report(
-            "%-9s %-8s %7d cycles  %s  %6.2f s"
-            % (cell["workload"], cell["mode"], cell["cycles"],
-               cell["digest"], cell["run_s"]),
-            cell_failure(cell, reference))
+        print("check_perf: %-9s %-8s %7d cycles  %6.2f s"
+              % (cell["workload"], cell["mode"], cell["cycles"],
+                 cell["run_s"]))
     failed |= _report("throughput %.0f µops/s (floor %d)"
                       % (uops_per_s(cells), UOPS_PER_S_FLOOR),
                       throughput_failure(cells))

@@ -4,22 +4,18 @@
 Rules the generic linters cannot express:
 
 1. **Config classification** — every ``ProcessorConfig`` dataclass
-   field must be claimed either by
-   ``ProcessorConfig.NON_TIMING_FIELDS`` (observational, excluded from
-   the cache fingerprint) or by the ``TIMING_FIELD_SAMPLES`` table in
-   ``tests/test_config_fingerprint.py`` (which proves the field moves
-   the fingerprint).  A field in neither place means nobody decided
-   whether it affects results — that silently poisons the persistent
-   result cache, so it fails CI.  A field in both places is a
-   contradiction and also fails.
+   field is a timing parameter, and must have an entry in the
+   ``TIMING_FIELD_SAMPLES`` table in ``tests/test_config_fingerprint.py``
+   (which proves the field moves the cache fingerprint).  A field
+   without one may be missing from the fingerprint — that silently
+   poisons the persistent result cache, so it fails CI.  A sample for
+   a field that no longer exists also fails.
 
 2. **Stats mutation boundary** — no module under
    ``src/repro/pipeline/`` may write through a subscript into a
    ``stats`` object (``self.stats.cpi_buckets["x"] += 1`` and
-   friends).  Pipeline stats are either plain ``CoreStats`` attribute
-   increments or go through :class:`repro.obs.StatsRegistry`
-   instruments; ad-hoc dict pokes bypass both the null-registry
-   zero-overhead mode and the cache schema.
+   friends).  Pipeline stats are plain ``CoreStats`` attribute
+   increments; ad-hoc dict pokes bypass the cache schema.
 
 3. **Hot-loop allocation/attribute discipline** — the per-cycle
    methods of ``pipeline/core.py`` (everything ``_run``'s while-loop
@@ -80,20 +76,6 @@ def config_fields(source: str) -> list[str]:
     raise ValueError("no ProcessorConfig class found")
 
 
-def non_timing_fields(source: str) -> tuple[str, ...]:
-    """The literal ``NON_TIMING_FIELDS`` tuple inside ProcessorConfig."""
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "ProcessorConfig":
-            for item in node.body:
-                if isinstance(item, ast.Assign) \
-                        and any(isinstance(t, ast.Name)
-                                and t.id == "NON_TIMING_FIELDS"
-                                for t in item.targets):
-                    return tuple(ast.literal_eval(item.value))
-    raise ValueError("no NON_TIMING_FIELDS assignment found")
-
-
 def timing_sample_fields(source: str) -> list[str]:
     """Keys of the ``TIMING_FIELD_SAMPLES`` dict in the fingerprint test."""
     tree = ast.parse(source)
@@ -115,24 +97,16 @@ def timing_sample_fields(source: str) -> list[str]:
 
 
 def classification_errors(fields: Sequence[str],
-                          timing: Sequence[str],
-                          non_timing: Sequence[str]) -> list[str]:
+                          timing: Sequence[str]) -> list[str]:
     errors = []
-    timing_set, non_timing_set = set(timing), set(non_timing)
+    timing_set = set(timing)
     for name in fields:
-        if name in timing_set and name in non_timing_set:
+        if name not in timing_set:
             errors.append(
-                "field %r is claimed both timing (TIMING_FIELD_SAMPLES) "
-                "and non-timing (NON_TIMING_FIELDS)" % name)
-        elif name not in timing_set and name not in non_timing_set:
-            errors.append(
-                "field %r is unclassified: add it to TIMING_FIELD_SAMPLES "
-                "in %s (it changes results) or to "
-                "ProcessorConfig.NON_TIMING_FIELDS (it cannot)"
-                % (name, SAMPLES_PATH))
-    known = set(fields)
-    for name in sorted((timing_set | non_timing_set) - known):
-        errors.append("%r is classified but is not a ProcessorConfig "
+                "field %r has no sample: add a non-default value for it "
+                "to TIMING_FIELD_SAMPLES in %s" % (name, SAMPLES_PATH))
+    for name in sorted(timing_set - set(fields)):
+        errors.append("%r has a sample but is not a ProcessorConfig "
                       "field" % name)
     return errors
 
@@ -172,8 +146,7 @@ def stats_mutation_errors(source: str, path: str = "<source>") -> list[str]:
                 continue
             if _is_stats_subscript(target):
                 errors.append(
-                    "%s:%d: direct stats-dict mutation; use a "
-                    "repro.obs.StatsRegistry instrument or a plain "
+                    "%s:%d: direct stats-dict mutation; use a plain "
                     "CoreStats attribute" % (path, node.lineno))
     return errors
 
@@ -478,9 +451,7 @@ def run(root: Path) -> list[str]:
     config_src = (root / CONFIG_PATH).read_text(encoding="utf-8")
     samples_src = (root / SAMPLES_PATH).read_text(encoding="utf-8")
     errors.extend(classification_errors(
-        config_fields(config_src),
-        timing_sample_fields(samples_src),
-        non_timing_fields(config_src)))
+        config_fields(config_src), timing_sample_fields(samples_src)))
     for path in sorted((root / PIPELINE_DIR).rglob("*.py")):
         errors.extend(stats_mutation_errors(
             path.read_text(encoding="utf-8"),
