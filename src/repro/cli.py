@@ -9,7 +9,6 @@
     python -m repro experiment fig10 --workloads 657.xz_1,605.mcf --jobs 4
     python -m repro experiment fig9 --jobs 8 --job-timeout 120 \\
         --report-json sweep.json              # fault-tolerant sweep
-    python -m repro sweep-report sweep.json   # render execution report
     python -m repro cache                     # inspect the result cache
     python -m repro cache clear               # drop every cached result
     python -m repro trace                     # inspect the trace store
@@ -24,9 +23,9 @@
 
 Each ``experiment`` command builds one
 :class:`~repro.experiments.engine.SweepEngine` from its flags
-(``--jobs``, ``--cache-dir``, ``--no-cache``, ``--job-timeout``,
-``--retries``) and hands it to the figure or table, which takes its
-cells from one sweep; ``--report-json`` writes that sweep's report.
+(``--jobs``, ``--cache-dir``, ``--no-cache``, ``--job-timeout``) and
+hands it to the figure or table, which takes its cells from one sweep;
+``--report-json`` writes that sweep's report.
 ``simulate`` runs one trace in-process: serial full detail (exact) or
 ``--sample`` (estimated, with a confidence interval).  No subcommand
 times the program: ``reprobench/run.py`` does, end to end and per
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import List, Optional
 
@@ -73,23 +73,31 @@ def _parse_mode(text: str) -> FusionMode:
                          % (text, ", ".join(m.value for m in FusionMode))) from None
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type=`` for an integer flag with a lower bound: a bad
-    value is a usage error, not a traceback or a silent default."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                "invalid integer %r" % text) from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                "must be at least %d, got %d" % (minimum, value))
-        return value
-    return parse
+def _positive(text: str) -> int:
+    """argparse ``type=`` for a count flag: a value below 1 is a usage
+    error, not a traceback, a silent default or a vacuous pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid integer %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1, got %d" % value)
+    return value
 
 
-_positive = _int_at_least(1)
+def _seconds(text: str) -> float:
+    """argparse ``type=`` for a deadline: positive, finite seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid number %r" % text) from None
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            "must be positive, finite seconds, got %r" % text)
+    return value
 
 
 def _jobs_arg(text: str) -> int:
@@ -151,12 +159,10 @@ def _render_estimate(est) -> str:
         lines.append("  trace too short to sample — simulated in full "
                      "detail (exact, %d µ-ops)" % est.total_uops)
     else:
-        warm = ("continuous" if est.warmup_uops is None
-                else "bounded %d µ-ops" % est.warmup_uops)
         lines.append("  %d µ-ops: exact head %d + %d windows × %d "
-                     "measured (warming: %s)"
+                     "measured (warming: continuous)"
                      % (est.total_uops, est.head_uops, est.windows,
-                        est.window_uops, warm))
+                        est.window_uops))
     lines.append("  IPC %.4f ± %.2f%%  (95%% CI %.4f – %.4f)"
                  % (est.ipc_estimate, 100 * est.ipc_rel_err,
                     est.ipc_low, est.ipc_high))
@@ -190,8 +196,7 @@ def _simulate_sampled(args, config: ProcessorConfig) -> int:
                          "(exact head + one detail window)")
     mode = _one_mode(args)
     est = sampled_simulate(_trace_for(args), config.with_mode(mode),
-                           windows=args.sample, warmup=args.warmup,
-                           name=args.workload)
+                           windows=args.sample, name=args.workload)
     print(_render_estimate(est))
     return 0
 
@@ -200,10 +205,6 @@ def _cmd_simulate(args) -> int:
     if args.workload not in CATALOG:
         raise SystemExit("unknown workload %r (see `repro workloads`)"
                          % args.workload)
-    if args.warmup is not None and args.sample is None:
-        raise SystemExit("--warmup bounds the functional warming between "
-                         "--sample windows and has no effect without "
-                         "--sample")
     config = _config_from(args)
     if args.sample is not None:
         return _simulate_sampled(args, config)
@@ -248,7 +249,7 @@ def _cmd_experiment(args) -> int:
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     engine = SweepEngine(jobs=args.jobs, cache=cache,
                          use_cache=not args.no_cache,
-                         job_timeout=args.job_timeout, retries=args.retries)
+                         job_timeout=args.job_timeout)
     try:
         result = experiment(workloads, config=config, engine=engine)
     except SweepJobError as exc:
@@ -275,22 +276,6 @@ def _write_report_json(path: Optional[str],
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
     print("wrote sweep execution report to %s" % path)
-
-
-def _cmd_sweep_report(args) -> int:
-    """Render a persisted sweep execution report."""
-    import json
-
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        report = SweepReport.from_dict(data)
-    except OSError as exc:
-        raise SystemExit("cannot read %s: %s" % (args.file, exc)) from exc
-    except ValueError as exc:
-        raise SystemExit("invalid sweep report %s: %s" % (args.file, exc)) from exc
-    print(report.render())
-    return 1 if report.failed_jobs else 0
 
 
 def _cmd_cache(args) -> int:
@@ -559,11 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "functional warming between them (default "
                           "N=%(const)s); reports IPC/CPI with a "
                           "95%%-confidence error bar")
-    sim.add_argument("--warmup", type=_int_at_least(0), default=None,
-                     metavar="M",
-                     help="bounded warmup budget (µ-ops) between --sample "
-                          "windows; default: continuous warming (slower, "
-                          "most accurate)")
     sim.set_defaults(func=_cmd_simulate)
 
     exp = sub.add_parser("experiment",
@@ -584,28 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     exp.add_argument("--no-cache", action="store_true",
                      help="skip the persistent result cache entirely")
-    exp.add_argument("--job-timeout", type=float, default=None,
+    exp.add_argument("--job-timeout", type=_seconds, default=None,
                      metavar="S",
-                     help="per-job deadline in seconds; a hung worker "
-                          "is killed and the job retried (default: "
-                          "$REPRO_JOB_TIMEOUT or off — off keeps "
-                          "existing flows bit-exact)")
-    exp.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="retry budget per failed job, with capped "
-                          "deterministic exponential backoff (default: "
-                          "$REPRO_JOB_RETRIES or 2)")
+                     help="per-job deadline in seconds for pool workers; "
+                          "a job past it is killed and runs once more "
+                          "in this process (default: off)")
     exp.add_argument("--report-json", metavar="FILE",
                      help="write the sweep execution report (per-job "
                           "attempts, durations, failure classes) here — "
                           "written on failure too")
     exp.set_defaults(func=_cmd_experiment)
-
-    swrep = sub.add_parser(
-        "sweep-report",
-        help="render a sweep execution report written by "
-             "`experiment --report-json`")
-    swrep.add_argument("file", help="report JSON file to render")
-    swrep.set_defaults(func=_cmd_sweep_report)
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the persistent result cache")
@@ -643,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dynamic µ-op cap per trace (default %d, "
                               "repro.config.DEFAULT_MAX_UOPS)"
                               % DEFAULT_MAX_UOPS)
-    profile.add_argument("--top", type=int, default=15, metavar="N",
+    profile.add_argument("--top", type=_positive, default=15, metavar="N",
                          help="hottest functions to list (default 15)")
     profile.add_argument("--pstats-out", metavar="FILE",
                          help="dump the raw cProfile stats here")
@@ -661,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--events-out", metavar="FILE",
                        help="write the Chrome trace-event JSON here "
                             "(loadable in Perfetto)")
-    debug.add_argument("--ring", type=int, default=None, metavar="N",
+    debug.add_argument("--ring", type=_positive, default=None, metavar="N",
                        help="event ring capacity (default 65536; keeps "
                             "the last N events)")
     debug.add_argument("--max-uops", type=_positive, default=None, metavar="N",
@@ -710,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="dynamic µ-op cap per trace (default %d)"
                              % DEFAULT_MAX_UOPS)
-    static.add_argument("--path-budget", type=int,
+    static.add_argument("--path-budget", type=_positive,
                         default=DEFAULT_PATH_BUDGET, metavar="N",
                         help="abstract-execution visit budget per "
                              "memory head (default %d)"

@@ -150,21 +150,6 @@ class ProcessorConfig:
         data["fusion_mode"] = self.fusion_mode.value
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ProcessorConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in fields:
-                raise ValueError("unknown ProcessorConfig field %r" % key)
-            if key == "fusion_mode":
-                value = FusionMode(value)
-            elif key in ("l1i", "l1d", "l2", "l3"):
-                value = CacheConfig(**value)
-            kwargs[key] = value
-        return cls(**kwargs)
-
     def fingerprint(self) -> str:
         """Stable short hash over every parameter that affects results.
 

@@ -4,7 +4,8 @@ paper's evaluation (see DESIGN.md §5 for the experiment index).
 * :mod:`repro.experiments.engine` — the one sweep path: memo + disk
   cache + parallel fan-out over (workload, config) jobs.
 * :mod:`repro.experiments.faults` — fault-tolerant job scheduler
-  (timeouts, retries, lost-worker recovery) and fault injection.
+  (deadlines, lost-worker recovery, one serial re-run of a job that
+  failed the pool) and its per-attempt report.
 * :mod:`repro.experiments.cache` — persistent on-disk result cache
   keyed by workload + configuration fingerprint.
 * :mod:`repro.experiments.figures` — Figures 2, 3, 4, 5, 8, 9, 10.
@@ -14,13 +15,7 @@ paper's evaluation (see DESIGN.md §5 for the experiment index).
 from repro.experiments.analysis_suite import legality_census
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.engine import SweepEngine, SweepJobError
-from repro.experiments.faults import (
-    FaultPlan,
-    JobFailure,
-    SweepReport,
-    parse_fault_spec,
-    run_jobs,
-)
+from repro.experiments.faults import JobFailure, SweepReport, run_jobs
 from repro.experiments.figures import (
     SWEEP_MODES,
     cpi_accounting,
@@ -36,8 +31,7 @@ from repro.experiments.tables import table1, table2, table3
 
 __all__ = [
     "ResultCache", "SweepEngine", "SweepJobError", "default_cache_dir",
-    "FaultPlan", "JobFailure", "SweepReport",
-    "parse_fault_spec", "run_jobs",
+    "JobFailure", "SweepReport", "run_jobs",
     "SWEEP_MODES", "cpi_accounting",
     "figure2", "figure3", "figure4", "figure5",
     "figure8", "figure9", "figure10",

@@ -5,13 +5,13 @@ The simulations are embarrassingly parallel — each (workload, mode,
 config) job replays its workload's captured trace through an
 independent :class:`~repro.pipeline.core.PipelineCore` — so the engine
 partitions the missing jobs over the fault-tolerant process-per-job
-scheduler in :mod:`repro.experiments.faults`: per-job deadlines, lost
--worker recovery, deterministic retry/backoff, and degradation to
-in-process serial execution for jobs that fail the pool twice.  With
-``jobs=1`` (the default) everything runs sequentially in-process,
-which keeps tier-1 tests and determinism untouched; a ``jobs=N`` sweep
-produces bit-identical results because every job is self-contained and
-outcomes are collected in job order.
+scheduler in :mod:`repro.experiments.faults`: per-job deadlines,
+lost-worker recovery, and one more, serial attempt in the supervisor
+for a job that failed the pool.  With ``jobs=1`` (the default) each
+job runs once, sequentially, in-process, which keeps tier-1 tests and
+determinism untouched; a ``jobs=N`` sweep produces bit-identical
+results because every job is self-contained and outcomes are
+collected in job order.
 
 Capture-once/replay-many (the paper's Spike methodology): before any
 workers start, the engine loads each distinct workload trace exactly
@@ -34,6 +34,7 @@ takes its cells from one :meth:`SweepEngine.sweep` call.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -41,16 +42,7 @@ from repro.config import FusionMode, ProcessorConfig
 from repro.core.results import SimResult
 from repro.core.simulator import simulate
 from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.faults import (
-    DEFAULT_BACKOFF_BASE_S,
-    JobFailure,
-    SweepReport,
-    as_failure,
-    default_job_retries,
-    default_job_timeout,
-    maybe_inject_fault,
-    run_jobs,
-)
+from repro.experiments.faults import JobFailure, SweepReport, run_jobs
 from repro.fusion.oracle import cached_oracle_pairs
 from repro.workloads import build_workload, ensure_known, workload_names
 
@@ -91,7 +83,7 @@ def default_jobs() -> int:
 
 
 class SweepJobError(RuntimeError):
-    """One or more sweep jobs failed beyond their retry budget.
+    """One or more sweep jobs failed in every attempt they were given.
 
     The sibling jobs' results were still stored in the memo/disk cache
     before this was raised, so a re-run only re-simulates the failing
@@ -100,7 +92,7 @@ class SweepJobError(RuntimeError):
     the worker-side traceback (sanely truncated); ``report`` — when the
     sweep went through the fault-tolerant scheduler — is the full
     :class:`~repro.experiments.faults.SweepReport` with every attempt's
-    class, duration and backoff.
+    class and duration.
     """
 
     def __init__(self, failures: List[Tuple[str, str, str]],
@@ -119,8 +111,7 @@ def _execute_job(job: Tuple[str, ProcessorConfig]) -> SimResult:
     return simulate(build_workload(name), config, name=name)
 
 
-def _execute_job_guarded(job: Tuple[str, ProcessorConfig],
-                         fault_token: Optional[str] = None
+def _execute_job_guarded(job: Tuple[str, ProcessorConfig]
                          ) -> Tuple[bool, object]:
     """Worker entry point that never raises.
 
@@ -133,7 +124,6 @@ def _execute_job_guarded(job: Tuple[str, ProcessorConfig],
     debuggable from the supervisor.
     """
     try:
-        maybe_inject_fault(fault_token)
         return True, _execute_job(job)
     except Exception as exc:  # noqa: BLE001 — isolate *any* job failure
         return False, JobFailure.from_exception(exc)
@@ -143,13 +133,10 @@ class SweepEngine:
     """Runs (workload, mode) sweeps through memo + disk cache + the
     fault-tolerant worker scheduler (see :mod:`repro.experiments.faults`).
 
-    ``job_timeout`` (seconds, default ``$REPRO_JOB_TIMEOUT`` else off)
-    kills and retries jobs that hang past the deadline; ``retries``
-    (default ``$REPRO_JOB_RETRIES`` else 2) re-attempts failed jobs
-    with deterministic exponential backoff (base ``backoff_base``,
-    default 0.25 s); a job that failed the pool twice degrades to
-    in-process serial execution.  After a ``sweep`` that ran any job,
-    ``last_report`` holds the
+    ``job_timeout`` (positive seconds, default ``None``: no deadline)
+    kills a pool worker whose job runs past it; a job that failed the
+    pool for any reason runs once more, serially, in this process.
+    After a ``sweep`` that ran any job, ``last_report`` holds the
     :class:`~repro.experiments.faults.SweepReport` accounting for
     every attempt.  ``jobs`` follows :func:`parse_jobs` (default
     ``$REPRO_JOBS`` else 1).
@@ -159,21 +146,16 @@ class SweepEngine:
                  jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  use_cache: bool = True,
-                 job_timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE_S):
+                 job_timeout: Optional[float] = None):
         self.jobs = (default_jobs() if jobs is None
                      else parse_jobs(jobs))
         self.cache = cache if cache is not None else ResultCache()
         self.use_cache = use_cache
         self.memo: Dict[str, SimResult] = {}
-        self.job_timeout = (job_timeout if job_timeout is not None
-                            else default_job_timeout())
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            self.job_timeout = None  # 0 is documented shorthand for off
-        self.retries = retries if retries is not None else \
-            default_job_retries()
-        self.backoff_base = backoff_base
+        if job_timeout is not None and not 0 < job_timeout < math.inf:
+            raise ValueError("invalid job_timeout %r: expected positive, "
+                             "finite seconds or None" % (job_timeout,))
+        self.job_timeout = job_timeout
         self.last_report: Optional[SweepReport] = None
 
     # -------------------------------------------------------------- lookup --
@@ -235,8 +217,7 @@ class SweepEngine:
                   for name, config in jobs]
         outcomes, report = run_jobs(
             jobs, _execute_job_guarded, labels, workers=workers,
-            timeout=self.job_timeout, retries=self.retries,
-            backoff_base=self.backoff_base)
+            timeout=self.job_timeout)
         self.last_report = report
         return outcomes
 
@@ -278,7 +259,7 @@ class SweepEngine:
                     results[name][full.fusion_mode.value] = outcome
                 else:
                     failures.append((name, full.fusion_mode.value,
-                                     as_failure(outcome).describe()))
+                                     outcome.describe()))
             if failures:
                 # Every successful sibling is already in the memo/disk
                 # cache; re-running the sweep re-simulates only these.

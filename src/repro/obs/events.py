@@ -131,17 +131,6 @@ class Histogram:
                 return value
         return self.max
 
-    def summary(self) -> Dict[str, float]:
-        """JSON-safe digest: count/mean/max plus p50/p90/p99."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "max": self.max,
-            "p50": self.percentile(0.50),
-            "p90": self.percentile(0.90),
-            "p99": self.percentile(0.99),
-        }
-
     def __repr__(self) -> str:
         return "<Histogram %s n=%d mean=%.2f max=%d>" % (
             self.name, self.count, self.mean, self.max)

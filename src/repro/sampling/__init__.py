@@ -18,7 +18,6 @@ from repro.sampling.estimate import (
     t_critical_95,
 )
 from repro.sampling.sample import (
-    DEFAULT_WARMUP_UOPS,
     DEFAULT_WINDOWS,
     DETAIL_PREFIX_UOPS,
     DETAIL_WINDOW_UOPS,
@@ -31,7 +30,6 @@ from repro.sampling.scale import build_scaled_workload, clear_scaled_memo
 from repro.sampling.warm import FunctionalWarmer, WarmState
 
 __all__ = [
-    "DEFAULT_WARMUP_UOPS",
     "DEFAULT_WINDOWS",
     "DETAIL_PREFIX_UOPS",
     "DETAIL_WINDOW_UOPS",

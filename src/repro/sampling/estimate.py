@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: Two-sided 95 % Student-t critical values by degrees of freedom.
 #: Lookup takes the largest tabulated df <= the actual df, so the
@@ -103,9 +103,6 @@ class SampledEstimate:
     total_uops: int
     windows: int
     window_uops: int
-    #: Bounded warming budget per window; ``None`` means continuous
-    #: functional warming of every skipped µ-op.
-    warmup_uops: Optional[int]
     #: The head stratum ([0, head_uops)) is simulated in full detail
     #: and contributes *exactly* head_cycles to est_cycles — program
     #: starts are systematically non-stationary, so the cold-start
@@ -148,7 +145,6 @@ class SampledEstimate:
             "workload": self.workload, "mode": self.mode,
             "total_uops": self.total_uops, "windows": self.windows,
             "window_uops": self.window_uops,
-            "warmup_uops": self.warmup_uops,
             "head_uops": self.head_uops,
             "head_cycles": self.head_cycles,
             "cpi": self.cpi.to_dict() if self.cpi is not None else None,
@@ -162,7 +158,7 @@ class SampledEstimate:
 
 
 def finalize_estimate(workload: str, mode: str, total_uops: int,
-                      window_uops: int, warmup_uops: Optional[int],
+                      window_uops: int,
                       window_cpis: List[float],
                       bucket_totals: Dict[str, int],
                       head_uops: int = 0,
@@ -194,7 +190,6 @@ def finalize_estimate(workload: str, mode: str, total_uops: int,
     return SampledEstimate(
         workload=workload, mode=mode, total_uops=total_uops,
         windows=len(window_cpis), window_uops=window_uops,
-        warmup_uops=warmup_uops,
         head_uops=head_uops, head_cycles=head_cycles, cpi=cpi,
         ipc_estimate=ipc, ipc_low=ipc_low, ipc_high=ipc_high,
         est_cycles=est_cycles,

@@ -56,16 +56,6 @@ from repro.sampling.warm import FunctionalWarmer
 #: ``repro ... --sample`` with no explicit count.
 DEFAULT_WINDOWS = 32
 
-#: Bounded functional-warmup length ahead of each window, in µ-ops,
-#: for callers that pass an explicit ``--warmup`` budget.  The default
-#: is *continuous* warming (``warmup=None``): every skipped µ-op
-#: streams through the functional warmer, so predictor training state
-#: (FP confidence, UCH history, branch tables, caches) tracks the full
-#: run instead of restarting from a short recent suffix.  Bounded
-#: warming trades accuracy for speed on very long traces where even
-#: functional streaming dominates.
-DEFAULT_WARMUP_UOPS = 4000
-
 #: Measured µ-ops per detail window.
 DETAIL_WINDOW_UOPS = 1500
 
@@ -80,8 +70,7 @@ class SampleWindow:
     """One planned detail window, in parent-trace µ-op coordinates."""
 
     index: int
-    warm_start: int      # functional warming begins here ...
-    detail_start: int    # ... detailed (unmeasured) simulation here ...
+    detail_start: int    # detailed (unmeasured) simulation begins here ...
     measure_start: int   # ... measurement starts here ...
     measure_end: int     # ... and ends here (exclusive)
     sub_stop: int        # sub-trace extends to here (drain slack)
@@ -98,7 +87,6 @@ class SamplePlan:
 
 
 def plan_intervals(total: int, windows: int,
-                   warmup: Optional[int] = None,
                    detail: int = DETAIL_WINDOW_UOPS,
                    prefix: int = DETAIL_PREFIX_UOPS,
                    ) -> Optional[SamplePlan]:
@@ -106,10 +94,8 @@ def plan_intervals(total: int, windows: int,
 
     The trace is cut into ``windows`` equal strata.  Stratum 0 is the
     exact head; each later stratum gets one mid-stratum detail window.
-    ``warmup=None`` (the default) plans *continuous* functional
-    warming — every µ-op between windows streams through the warmer;
-    an integer plans bounded warming of at most that many µ-ops ahead
-    of each window, skipping the rest of the gap.
+    Warming is continuous: every µ-op between windows streams through
+    the functional warmer.
 
     Returns ``None`` when sampling is pointless — the head and the
     detailed windows (with slack) would cover most of the trace — in
@@ -117,8 +103,6 @@ def plan_intervals(total: int, windows: int,
     """
     if windows < 2:
         raise ValueError("need at least two strata (head + one window)")
-    if warmup is not None and warmup < 0:
-        raise ValueError("warmup must be non-negative")
     period = total // windows
     span = prefix + detail + DRAIN_HORIZON
     if period + (windows - 1) * span * 2 >= total:
@@ -127,13 +111,9 @@ def plan_intervals(total: int, windows: int,
     for i in range(1, windows):
         measure = i * period + period // 2
         measure = max(prefix, min(measure, total - detail))
-        detail_start = measure - prefix
-        warm_start = 0 if warmup is None \
-            else max(0, detail_start - warmup)
         plans.append(SampleWindow(
             index=i,
-            warm_start=warm_start,
-            detail_start=detail_start,
+            detail_start=measure - prefix,
             measure_start=measure,
             measure_end=measure + detail,
             sub_stop=min(total, measure + detail + DRAIN_HORIZON)))
@@ -161,22 +141,17 @@ def _census_pairs(trace: Trace, config: ProcessorConfig):
 
 def sampled_simulate(trace: Trace, config: ProcessorConfig,
                      windows: int = DEFAULT_WINDOWS,
-                     warmup: Optional[int] = None,
                      name: Optional[str] = None,
                      detail: int = DETAIL_WINDOW_UOPS,
                      prefix: int = DETAIL_PREFIX_UOPS) -> SampledEstimate:
     """Estimate IPC/CPI for ``trace`` from an exact head plus N-1
-    sampled detail windows.
-
-    ``warmup=None`` (default) warms functionally through *every*
-    skipped µ-op — the accurate mode; an integer bounds warming to
-    that many µ-ops ahead of each window (faster on very long traces,
-    at the cost of predictor-training fidelity).
+    sampled detail windows, warming functionally through *every*
+    skipped µ-op.
     """
     total = len(trace)
     label = name or trace.name
     mode = config.fusion_mode.value
-    plan = plan_intervals(total, windows, warmup, detail, prefix)
+    plan = plan_intervals(total, windows, detail, prefix)
     if plan is None:
         # Tiny trace: full detail costs no more than the windows would.
         core = PipelineCore(trace, config,
@@ -186,7 +161,7 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
                if stats.instructions else 0.0)
         return SampledEstimate(
             workload=label, mode=mode, total_uops=total,
-            windows=0, window_uops=total, warmup_uops=0,
+            windows=0, window_uops=total,
             head_uops=0, head_cycles=0,
             cpi=IntervalEstimate(mean=cpi, half_width=0.0, n=1),
             ipc_estimate=stats.ipc, ipc_low=stats.ipc, ipc_high=stats.ipc,
@@ -224,9 +199,8 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
         for w in plan.windows:
             # Functionally stream every skipped µ-op up to the detail
             # start (overlapping windows never re-warm a µ-op twice).
-            warm_from = max(cursor, w.warm_start)
-            if warm_from < w.detail_start:
-                warmer.warm(uops[warm_from:w.detail_start])
+            if cursor < w.detail_start:
+                warmer.warm(uops[cursor:w.detail_start])
             sub = trace.segment(w.detail_start, w.sub_stop)
             core = PipelineCore(sub, config,
                                 oracle_pairs=_census_pairs(sub, config),
@@ -253,7 +227,7 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
             cursor = w.measure_end
     return finalize_estimate(
         workload=label, mode=mode, total_uops=total,
-        window_uops=detail, warmup_uops=warmup,
+        window_uops=detail,
         head_uops=head_uops, head_cycles=head_cycles,
         window_cpis=window_cpis, bucket_totals=bucket_totals)
 

@@ -10,11 +10,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.config import FusionMode
-from repro.experiments.faults import (
-    AttemptRecord,
-    JobRecord,
-    SweepReport,
-)
 from repro.workloads import workload_names
 
 
@@ -222,10 +217,6 @@ def test_experiment_writes_report_json(capsys, tmp_path):
     payload = json.loads(report_file.read_text())
     assert payload["summary"]["jobs"] == 2      # NoFusion + Helios
     assert payload["summary"]["failed"] == 0
-    assert main(["sweep-report", str(report_file)]) == 0
-    out = capsys.readouterr().out
-    assert "sweep report: 2 job(s)" in out
-    assert "crc32" in out and "ok" in out
 
 
 def test_report_json_is_this_commands_report(tmp_path):
@@ -264,12 +255,44 @@ def test_failed_sweep_writes_its_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(engine_mod, "_execute_job", failing_helios)
     report_file = tmp_path / "sweep.json"
     assert main(["experiment", "cpi", "--workloads", "crc32",
-                 "--cache-dir", str(tmp_path / "cache"), "--retries", "0",
+                 "--cache-dir", str(tmp_path / "cache"),
                  "--report-json", str(report_file)]) == 1
     assert "sweep failed" in capsys.readouterr().err
     payload = json.loads(report_file.read_text())
     assert payload["summary"]["jobs"] == 2
     assert payload["summary"]["failed"] == 1
+
+
+def test_pool_failure_reruns_in_the_supervisor(capsys, tmp_path,
+                                               monkeypatch):
+    # A Helios job that raises only in pool workers completes in its
+    # one serial attempt, and the report shows the trail.
+    import multiprocessing
+
+    import repro.experiments.engine as engine_mod
+
+    real = engine_mod._execute_job
+
+    def helios_fails_in_pool(job):
+        if job[1].fusion_mode is FusionMode.HELIOS \
+                and multiprocessing.parent_process() is not None:
+            raise RuntimeError("injected Helios pool failure")
+        return real(job)
+
+    monkeypatch.setattr(engine_mod, "_execute_job", helios_fails_in_pool)
+    report_file = tmp_path / "sweep.json"
+    assert main(["experiment", "cpi", "--workloads", "crc32",
+                 "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+                 "--report-json", str(report_file)]) == 0
+    assert "Helios" in capsys.readouterr().out
+    payload = json.loads(report_file.read_text())
+    trails = {job["mode"]: [(a["where"], a["outcome"])
+                            for a in job["attempts"]]
+              for job in payload["jobs"]}
+    assert trails == {"NoFusion": [("pool", "ok")],
+                      "Helios": [("pool", "raise"), ("serial", "ok")]}
+    assert payload["summary"]["degraded_to_serial"] == 1
+    assert payload["summary"]["failed"] == 0
 
 
 def test_experiments_simulate_each_cell_once(tmp_path, monkeypatch):
@@ -304,32 +327,6 @@ def test_experiments_simulate_each_cell_once(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_sweep_report_flags_failed_jobs(capsys, tmp_path):
-    report = SweepReport(jobs=[JobRecord(
-        workload="crc32", mode="Helios", ok=False,
-        attempts=[AttemptRecord(attempt=1, where="pool",
-                                outcome="lost-worker", duration_s=0.5,
-                                error="WorkerLost: exit code -9",
-                                exitcode=-9)])],
-        workers=4, timeout_s=30.0, retries=0)
-    path = tmp_path / "failed.json"
-    path.write_text(json.dumps(report.to_dict()))
-    assert main(["sweep-report", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "FAILED" in out
-    assert "lost-worker" in out
-    assert "WorkerLost" in out
-
-
-def test_sweep_report_rejects_bad_input(tmp_path):
-    with pytest.raises(SystemExit, match="cannot read"):
-        main(["sweep-report", str(tmp_path / "missing.json")])
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2, 3]")
-    with pytest.raises(SystemExit, match="invalid sweep report"):
-        main(["sweep-report", str(bad)])
-
-
 def test_cache_info_counts_orphans_and_quarantine(capsys, tmp_path):
     (tmp_path / "in-flight.tmp").write_text("x")
     (tmp_path / "bad.json.corrupt").write_text("y")
@@ -356,14 +353,10 @@ def test_simulate_sample_needs_two_strata():
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--mode", "NoFusion", "--warmup", "100"],
-     "no effect without --sample"),
     (["--sample", "--mode", "NoFusion", "--fp-kind", "tage"],
      "no effect with --mode NoFusion"),
-    (["--sample", "4", "--warmup", "-5"], "--warmup: must be at least 0"),
     (["--scale-to", "-5"], "--scale-to: must be at least 1"),
-], ids=["warmup-without-sample", "fp-kind-sampled-nofusion",
-        "negative-warmup", "negative-scale-to"])
+], ids=["fp-kind-sampled-nofusion", "negative-scale-to"])
 def test_simulate_rejects_ignored_or_invalid_flags(capsys, argv, message):
     # Each of these used to be silently ignored or end in a traceback.
     with pytest.raises(SystemExit) as excinfo:
@@ -381,6 +374,30 @@ def test_max_uops_must_be_positive(capsys, argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv + ["--max-uops", "0"])
     assert "--max-uops: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["static", "crc32", "--path-budget", "0"],
+     "--path-budget: must be at least 1"),
+    (["static", "crc32", "--path-budget", "-1"],
+     "--path-budget: must be at least 1"),
+    (["experiment", "cpi", "--job-timeout", "nan"],
+     "--job-timeout: must be positive, finite seconds"),
+    (["experiment", "cpi", "--job-timeout", "-1"],
+     "--job-timeout: must be positive, finite seconds"),
+    (["debug", "crc32", "--ring", "-5"], "--ring: must be at least 1"),
+    (["debug", "crc32", "--ring", "0"], "--ring: must be at least 1"),
+    (["profile", "crc32", "--top", "-3"], "--top: must be at least 1"),
+], ids=["path-budget-0", "path-budget-negative", "job-timeout-nan",
+        "job-timeout-negative", "ring-negative", "ring-0",
+        "top-negative"])
+def test_numeric_flags_reject_values_that_disable_them(capsys, argv,
+                                                       message):
+    # Each of these used to pass vacuously, silently disable what the
+    # flag sets, or end in a traceback.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_has_no_segment_flags(capsys):

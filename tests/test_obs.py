@@ -35,7 +35,6 @@ def test_registry_counters_and_histograms():
     assert hist.max == 9
     assert hist.percentile(0.5) == 3
     assert hist.percentile(1.0) == 9
-    assert hist.summary()["count"] == 4
 
 
 def test_registry_empty_histogram_is_safe():

@@ -54,14 +54,6 @@ def test_sim_result_round_trip_through_json(helios_result):
     assert back.fp_coverage_pct == helios_result.fp_coverage_pct
 
 
-def test_processor_config_round_trip():
-    config = ProcessorConfig(iq_size=96, fp_kind="tage").with_mode(
-        FusionMode.HELIOS)
-    assert ProcessorConfig.from_dict(config.to_dict()) == config
-    with pytest.raises(ValueError, match="unknown ProcessorConfig field"):
-        ProcessorConfig.from_dict({"not_a_field": 1})
-
-
 # ---- fingerprints ------------------------------------------------------------
 
 def test_fingerprint_stable_and_sensitive():

@@ -1,28 +1,29 @@
 #!/usr/bin/env python
-"""CI robustness drill: a full sweep under injected worker faults.
+"""CI robustness drill: a full sweep with faults injected into workers.
 
 Usage::
 
     PYTHONPATH=src python tools/fault_drill.py [options]
 
-Implements the PR's acceptance check end to end:
+Checks the sweep's failure policy end to end:
 
 1. **Baseline** — a fault-free, serial, uncached sweep of the requested
    workloads × modes (the ground truth every other path must match
    bit-for-bit).
 2. **Faulted parallel sweep** — the same sweep through the
-   fault-tolerant scheduler with ``REPRO_FAULT_INJECT`` arming kill
-   (``exit``), ``hang`` and ``raise`` faults inside the workers, a
-   per-job deadline, and the retry/degradation policy at its defaults.
-   Injection decisions are a pure hash of (workload, mode, attempt), so
-   the drill exercises the same fault pattern on every run.
+   fault-tolerant scheduler, with every 4th job in sweep order made to
+   fail in its pool worker, cycling through the three failure classes:
+   ``os._exit`` (a lost worker), ``raise`` and a hang that the per-job
+   deadline kills.  The faults are injected by wrapping the engine's
+   ``_execute_job``, which forked workers inherit; the wrapper faults
+   only in a pool worker, never in the supervisor.
 3. **Verification** — the faulted sweep must complete, every result
    must equal the baseline exactly (compared as full ``to_dict``
    payloads), the results must round-trip through the persistent cache
-   (a second engine with a cold memo must be served every pair from
-   disk, unchanged), and the :class:`SweepReport` must account for
-   every attempt: each failed attempt retried or degraded, each job's
-   final attempt ``ok``.
+   (a second cache reader must be served every pair from disk,
+   unchanged), and the :class:`SweepReport` must show each faulted job
+   as ``pool <class>, serial ok``, each other job as ``pool ok``, and
+   each of the three failure classes at least once.
 
 Exit status 0 when every check holds; 1 otherwise (with a diagnostic
 and the report rendered to stdout).
@@ -32,25 +33,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config import FusionMode, ProcessorConfig  # noqa: E402
+from repro.experiments import engine as engine_mod  # noqa: E402
 from repro.experiments.cache import ResultCache  # noqa: E402
 from repro.experiments.engine import SweepEngine, SweepJobError  # noqa: E402
 from repro.experiments.faults import (  # noqa: E402
-    FAULT_INJECT_ENV,
+    OUTCOME_LOST,
     OUTCOME_OK,
+    OUTCOME_RAISE,
+    OUTCOME_TIMEOUT,
 )
 from repro.workloads import ensure_known, workload_names  # noqa: E402
 
-#: Default injection mix: all three fault classes armed, ~24% of pool
-#: attempts fail.  Degradation guarantees completion: a job that draws
-#: two pool faults runs its final attempt serially in the supervisor,
-#: where injection never fires.
-DEFAULT_SPEC = "hang:0.06,exit:0.08,raise:0.10"
+#: Every FAULT_EVERY-th job in sweep order faults, cycling through
+#: these kinds; each maps to the failure class the report must show.
+FAULT_EVERY = 4
+FAULT_KINDS = (("exit", OUTCOME_LOST), ("raise", OUTCOME_RAISE),
+               ("hang", OUTCOME_TIMEOUT))
 
 _MODES = {mode.value.lower(): mode for mode in FusionMode}
 
@@ -64,15 +70,9 @@ def parse_args(argv):
                              "(default: NoFusion,Helios)")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker processes for the faulted sweep")
-    parser.add_argument("--spec", default=DEFAULT_SPEC,
-                        help="REPRO_FAULT_INJECT spec (default: %r)"
-                             % DEFAULT_SPEC)
     parser.add_argument("--job-timeout", type=float, default=20.0,
                         help="per-job deadline in seconds (bounds every "
                              "injected hang; default 20)")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="retry budget per job (default 2 — enough "
-                             "to guarantee a degraded-serial attempt)")
     parser.add_argument("--report-out", default=None, metavar="FILE",
                         help="also write the SweepReport JSON here")
     return parser.parse_args(argv)
@@ -88,31 +88,50 @@ def result_grid(results, names, modes):
                    for mode in modes} for name in names}
 
 
-def verify_report(report, expected_jobs):
+def fault_plan(names, modes):
+    """``{(workload, mode_value): (kind, outcome)}`` for the faulted jobs."""
+    cells = [(name, mode.value) for name in names for mode in modes]
+    return {cell: FAULT_KINDS[(index // FAULT_EVERY) % len(FAULT_KINDS)]
+            for index, cell in enumerate(cells)
+            if index % FAULT_EVERY == 0}
+
+
+def faulty(execute, plan):
+    """Wrap the engine's job function to fault planned jobs in workers."""
+    def execute_with_faults(job):
+        name, config = job
+        kind, _ = plan.get((name, config.fusion_mode.value), (None, None))
+        if kind is not None and multiprocessing.parent_process() is not None:
+            if kind == "exit":
+                os._exit(86)           # abrupt death: SIGKILL/OOM stand-in
+            if kind == "raise":
+                raise RuntimeError("drill fault in %s/%s"
+                                   % (name, config.fusion_mode.value))
+            while True:                # hang: killed by the job deadline
+                time.sleep(0.5)
+        return execute(job)
+    return execute_with_faults
+
+
+def verify_report(report, plan, expected_jobs):
     """Every attempt accounted for; returns a list of problems."""
     problems = []
     if len(report.jobs) != expected_jobs:
         problems.append("report covers %d job(s), expected %d"
                         % (len(report.jobs), expected_jobs))
     for job in report.jobs:
-        label = "%s/%s" % (job.workload, job.mode)
-        if not job.ok or not job.attempts:
-            problems.append("%s did not complete" % label)
-            continue
-        if job.attempts[-1].outcome != OUTCOME_OK:
-            problems.append("%s marked ok but last attempt is %r"
-                            % (label, job.attempts[-1].outcome))
-        for earlier in job.attempts[:-1]:
-            if earlier.outcome == OUTCOME_OK:
-                problems.append("%s has an ok attempt before the last"
-                                % label)
-        # A job that failed the pool twice must have degraded.
-        pool_failures = sum(1 for a in job.attempts
-                            if a.where == "pool"
-                            and a.outcome != OUTCOME_OK)
-        if pool_failures >= 2 and not job.degraded:
-            problems.append("%s failed the pool twice without "
-                            "degrading to serial" % label)
+        _, outcome = plan.get((job.workload, job.mode), (None, None))
+        expected = [("pool", OUTCOME_OK)] if outcome is None \
+            else [("pool", outcome), ("serial", OUTCOME_OK)]
+        trail = [(a.where, a.outcome) for a in job.attempts]
+        if not job.ok or trail != expected:
+            problems.append("%s/%s ran %s, expected %s"
+                            % (job.workload, job.mode, trail, expected))
+    missing = sorted({outcome for _, outcome in FAULT_KINDS}
+                     - set(report.failure_classes()))
+    if missing:
+        problems.append("failure class(es) never observed: %s"
+                        % ", ".join(missing))
     return problems
 
 
@@ -128,10 +147,9 @@ def main(argv=None):
         raise SystemExit("unknown mode %s; choose from: %s"
                          % (exc, ", ".join(m.value for m in FusionMode))) from exc
     expected_jobs = len(names) * len(modes)
+    plan = fault_plan(names, modes)
 
-    # 1. Fault-free serial baseline (injection-immune by construction,
-    #    but keep the environment clean anyway).
-    os.environ.pop(FAULT_INJECT_ENV, None)
+    # 1. Fault-free serial baseline.
     print("baseline: %d workload(s) x %d mode(s), serial, uncached"
           % (len(names), len(modes)))
     baseline_engine = SweepEngine(jobs=1, use_cache=False)
@@ -139,26 +157,26 @@ def main(argv=None):
                            names, modes)
 
     # 2. Faulted parallel sweep into a fresh persistent cache.
-    os.environ[FAULT_INJECT_ENV] = args.spec
     cache_dir = os.path.join(
         os.environ.get("REPRO_CACHE_DIR", "."), "fault-drill-cache")
     cache = ResultCache(cache_dir)
     cache.clear()
-    print("faulted sweep: %s=%s, %d worker(s), timeout %.0fs, retries %d"
-          % (FAULT_INJECT_ENV, args.spec, args.jobs, args.job_timeout,
-             args.retries))
+    print("faulted sweep: %d of %d job(s) fault in the pool, %d worker(s), "
+          "timeout %.0fs" % (len(plan), expected_jobs, args.jobs,
+                             args.job_timeout))
     engine = SweepEngine(jobs=args.jobs, cache=cache, use_cache=True,
-                         job_timeout=args.job_timeout,
-                         retries=args.retries)
+                         job_timeout=args.job_timeout)
+    real = engine_mod._execute_job
+    engine_mod._execute_job = faulty(real, plan)
     try:
         faulted = result_grid(engine.sweep(modes, workloads=names),
                               names, modes)
     except SweepJobError as exc:
         if exc.report is not None:
             print(exc.report.render())
-        return fail("sweep did not survive injection: %s" % exc)
+        return fail("sweep did not survive the faults: %s" % exc)
     finally:
-        os.environ.pop(FAULT_INJECT_ENV, None)
+        engine_mod._execute_job = real
 
     report = engine.last_report
     if report is None:
@@ -178,7 +196,7 @@ def main(argv=None):
     print("results: all %d identical to the fault-free serial baseline"
           % expected_jobs)
 
-    # 3b. Cache-verified: a cold-memo engine is served every pair from
+    # 3b. Cache-verified: a second reader is served every pair from
     #     disk, still bit-identical.
     reader = ResultCache(cache_dir)
     for name in names:
@@ -193,17 +211,16 @@ def main(argv=None):
     print("cache: all %d entries round-tripped bit-identically"
           % expected_jobs)
 
-    # 3c. The report accounts for every retry and degradation.
-    problems = verify_report(report, expected_jobs)
+    # 3c. Each faulted job ran pool -> serial ok, every class was seen.
+    problems = verify_report(report, plan, expected_jobs)
     if problems:
         return fail("; ".join(problems))
-    classes = report.failure_classes()
-    print("report: %d attempt(s) for %d job(s); %d retried, %d degraded"
+    print("report: %d attempt(s) for %d job(s); %d degraded to serial; "
+          "failure classes observed: %s"
           % (report.attempts_total, len(report.jobs),
-             len(report.retried_jobs), len(report.degraded_jobs)))
-    if classes:
-        print("injected failure classes observed: %s"
-              % ", ".join("%s %d" % kv for kv in sorted(classes.items())))
+             len(report.degraded_jobs),
+             ", ".join("%s %d" % kv
+                       for kv in sorted(report.failure_classes().items()))))
     print("FAULT DRILL PASSED")
     return 0
 
