@@ -7,7 +7,7 @@
     python -m repro simulate 657.xz_1 --mode Helios --fp-kind tage
     python -m repro simulate 605.mcf --scale-to 500000 --sample  # IPC ± CI
     python -m repro experiment fig10 --workloads 657.xz_1,605.mcf --jobs 4
-    python -m repro experiment fig9 --jobs 8 --job-timeout 120 \\
+    python -m repro experiment fig9 --jobs 8 \\
         --report-json sweep.json              # fault-tolerant sweep
     python -m repro cache                     # inspect the result cache
     python -m repro cache clear               # drop every cached result
@@ -23,9 +23,10 @@
 
 Each ``experiment`` command builds one
 :class:`~repro.experiments.engine.SweepEngine` from its flags
-(``--jobs``, ``--cache-dir``, ``--no-cache``, ``--job-timeout``) and
-hands it to the figure or table, which takes its cells from one sweep;
-``--report-json`` writes that sweep's report.
+(``--jobs``, ``--cache-dir``, ``--no-cache``) and hands it to the
+figure or table, which takes its cells from one sweep;
+``--report-json`` writes that sweep's report.  ``cache`` and ``trace``
+list or clear their store through one printer.
 ``simulate`` runs one trace in-process: serial full detail (exact) or
 ``--sample`` (estimated, with a confidence interval).  No subcommand
 times the program: ``reprobench/run.py`` does, end to end and per
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from typing import List, Optional
 
@@ -84,19 +84,6 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             "must be at least 1, got %d" % value)
-    return value
-
-
-def _seconds(text: str) -> float:
-    """argparse ``type=`` for a deadline: positive, finite seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "invalid number %r" % text) from None
-    if not 0 < value < math.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(
-            "must be positive, finite seconds, got %r" % text)
     return value
 
 
@@ -248,8 +235,7 @@ def _cmd_experiment(args) -> int:
         return 0
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     engine = SweepEngine(jobs=args.jobs, cache=cache,
-                         use_cache=not args.no_cache,
-                         job_timeout=args.job_timeout)
+                         use_cache=not args.no_cache)
     try:
         result = experiment(workloads, config=config, engine=engine)
     except SweepJobError as exc:
@@ -278,36 +264,32 @@ def _write_report_json(path: Optional[str],
     print("wrote sweep execution report to %s" % path)
 
 
-def _cmd_cache(args) -> int:
-    cache = (ResultCache(args.cache_dir) if args.cache_dir
-             else ResultCache())
-    if args.action == "clear":
-        removed = cache.clear()
-        print("removed %d cached result(s) from %s" % (removed, cache.root))
+def _store_info_or_clear(store, command: str, action: str) -> int:
+    """``repro cache`` / ``repro trace``: list or clear one store."""
+    if action == "clear":
+        print("removed %d file(s) from %s" % (store.clear(), store.root))
         return 0
-    entries = cache.entries()
-    print("cache directory: %s" % cache.root)
+    entries = store.entries()
+    print("%s: %s" % (store.label, store.root))
     print("entries: %d (%.1f KiB)"
-          % (len(entries), cache.size_bytes() / 1024.0))
-    orphans, quarantined = cache.orphan_tmps(), cache.quarantined()
+          % (len(entries), store.size_bytes() / 1024.0))
+    orphans, quarantined = store.orphan_tmps(), store.quarantined()
     if orphans or quarantined:
         print("orphaned tmp files: %d, quarantined corrupt entries: %d "
-              "(`repro cache clear` reclaims both)"
-              % (len(orphans), len(quarantined)))
+              "(`repro %s clear` reclaims both)"
+              % (len(orphans), len(quarantined), command))
     for entry in entries:
-        print("  %-20s %-14s %7d B  %s"
-              % (entry["workload"], entry["mode"], entry["bytes"],
-                 entry["file"]))
+        print("  %-34s %9d B  %s"
+              % (entry["what"], entry["bytes"], entry["file"]))
     return 0
 
 
+def _cmd_cache(args) -> int:
+    return _store_info_or_clear(ResultCache(args.cache_dir or None),
+                                "cache", args.action)
+
+
 def _cmd_trace(args) -> int:
-    store = (TraceStore(args.trace_dir) if args.trace_dir
-             else TraceStore())
-    if args.action == "clear":
-        removed = store.clear()
-        print("removed %d stored trace(s) from %s" % (removed, store.root))
-        return 0
     if args.action == "export":
         if not args.workload:
             raise SystemExit("trace export needs a workload name")
@@ -321,20 +303,8 @@ def _cmd_trace(args) -> int:
         print("wrote %d µ-ops to %s (portable JSON-lines)"
               % (len(trace), out))
         return 0
-    entries = store.entries()
-    print("trace store: %s" % store.root)
-    print("entries: %d (%.1f KiB)"
-          % (len(entries), store.size_bytes() / 1024.0))
-    orphans, quarantined = store.orphan_tmps(), store.quarantined()
-    if orphans or quarantined:
-        print("orphaned tmp files: %d, quarantined corrupt entries: %d "
-              "(`repro trace clear` reclaims both)"
-              % (len(orphans), len(quarantined)))
-    for entry in entries:
-        print("  %-20s %8s µ-ops %9d B  %s"
-              % (entry["name"], entry["uops"], entry["bytes"],
-                 entry["file"]))
-    return 0
+    return _store_info_or_clear(TraceStore(args.trace_dir or None),
+                                "trace", args.action)
 
 
 def _cmd_profile(args) -> int:
@@ -564,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     exp.add_argument("--no-cache", action="store_true",
                      help="skip the persistent result cache entirely")
-    exp.add_argument("--job-timeout", type=_seconds, default=None,
-                     metavar="S",
-                     help="per-job deadline in seconds for pool workers; "
-                          "a job past it is killed and runs once more "
-                          "in this process (default: off)")
     exp.add_argument("--report-json", metavar="FILE",
                      help="write the sweep execution report (per-job "
                           "attempts, durations, failure classes) here — "

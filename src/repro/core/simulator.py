@@ -36,7 +36,6 @@ def _shared_oracle_pairs(trace: Trace, config: ProcessorConfig):
 def simulate(workload: Union[Program, Trace],
              config: Optional[ProcessorConfig] = None,
              name: Optional[str] = None,
-             max_cycles: Optional[int] = None,
              observer: Optional[PipelineObserver] = None) -> SimResult:
     """Run one workload under one configuration.
 
@@ -50,7 +49,7 @@ def simulate(workload: Union[Program, Trace],
     core = PipelineCore(trace, config,
                         oracle_pairs=_shared_oracle_pairs(trace, config),
                         observer=observer)
-    stats = core.run(max_cycles=max_cycles)
+    stats = core.run()
     # The core already computed the oracle prediction-needing pair set
     # for its coverage accounting; its size is the coverage denominator.
     eligible = len(core.predictive_pairs)

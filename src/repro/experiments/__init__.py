@@ -4,10 +4,10 @@ paper's evaluation (see DESIGN.md §5 for the experiment index).
 * :mod:`repro.experiments.engine` — the one sweep path: memo + disk
   cache + parallel fan-out over (workload, config) jobs.
 * :mod:`repro.experiments.faults` — fault-tolerant job scheduler
-  (deadlines, lost-worker recovery, one serial re-run of a job that
-  failed the pool) and its per-attempt report.
+  (lost-worker recovery, one serial re-run of a job that failed the
+  pool) and its per-attempt report.
 * :mod:`repro.experiments.cache` — persistent on-disk result cache
-  keyed by workload + configuration fingerprint.
+  keyed by the replayed trace's key + configuration fingerprint.
 * :mod:`repro.experiments.figures` — Figures 2, 3, 4, 5, 8, 9, 10.
 * :mod:`repro.experiments.tables` — Tables I, II, III.
 """

@@ -5,13 +5,13 @@ The simulations are embarrassingly parallel — each (workload, mode,
 config) job replays its workload's captured trace through an
 independent :class:`~repro.pipeline.core.PipelineCore` — so the engine
 partitions the missing jobs over the fault-tolerant process-per-job
-scheduler in :mod:`repro.experiments.faults`: per-job deadlines,
-lost-worker recovery, and one more, serial attempt in the supervisor
-for a job that failed the pool.  With ``jobs=1`` (the default) each
-job runs once, sequentially, in-process, which keeps tier-1 tests and
-determinism untouched; a ``jobs=N`` sweep produces bit-identical
-results because every job is self-contained and outcomes are
-collected in job order.
+scheduler in :mod:`repro.experiments.faults`: a lost worker costs only
+its own attempt, and a job that failed the pool (it raised or lost its
+worker) runs once more, serially, in the supervisor.  With ``jobs=1``
+(the default) each job runs once, sequentially, in-process, which
+keeps tier-1 tests and determinism untouched; a ``jobs=N`` sweep
+produces bit-identical results because every job is self-contained
+and outcomes are collected in job order.
 
 Capture-once/replay-many (the paper's Spike methodology): before any
 workers start, the engine loads each distinct workload trace exactly
@@ -22,9 +22,10 @@ through copy-on-write; ``spawn`` workers replay the serialized traces
 from the store instead of re-interpreting.
 
 Lookup order per job: the engine's in-process memo → persistent disk
-cache → simulate.  Both layers key on the *full* configuration
-fingerprint, so custom-config sweeps are cached exactly like
-default-config ones.
+cache → simulate.  Both layers key on the key of the trace the job
+replays (so a kernel edit retires its results) and on the *full*
+configuration fingerprint, so custom-config sweeps are cached exactly
+like default-config ones.
 
 The engine is the one path from (workload, configuration) to a
 :class:`~repro.core.results.SimResult`: ``repro experiment`` builds one
@@ -34,7 +35,6 @@ takes its cells from one :meth:`SweepEngine.sweep` call.
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -133,29 +133,22 @@ class SweepEngine:
     """Runs (workload, mode) sweeps through memo + disk cache + the
     fault-tolerant worker scheduler (see :mod:`repro.experiments.faults`).
 
-    ``job_timeout`` (positive seconds, default ``None``: no deadline)
-    kills a pool worker whose job runs past it; a job that failed the
-    pool for any reason runs once more, serially, in this process.
-    After a ``sweep`` that ran any job, ``last_report`` holds the
-    :class:`~repro.experiments.faults.SweepReport` accounting for
-    every attempt.  ``jobs`` follows :func:`parse_jobs` (default
-    ``$REPRO_JOBS`` else 1).
+    A job that failed the pool runs once more, serially, in this
+    process.  After a ``sweep`` that ran any job, ``last_report``
+    holds the :class:`~repro.experiments.faults.SweepReport`
+    accounting for every attempt.  ``jobs`` follows :func:`parse_jobs`
+    (default ``$REPRO_JOBS`` else 1).
     """
 
     def __init__(self,
                  jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 use_cache: bool = True,
-                 job_timeout: Optional[float] = None):
+                 use_cache: bool = True):
         self.jobs = (default_jobs() if jobs is None
                      else parse_jobs(jobs))
         self.cache = cache if cache is not None else ResultCache()
         self.use_cache = use_cache
         self.memo: Dict[str, SimResult] = {}
-        if job_timeout is not None and not 0 < job_timeout < math.inf:
-            raise ValueError("invalid job_timeout %r: expected positive, "
-                             "finite seconds or None" % (job_timeout,))
-        self.job_timeout = job_timeout
         self.last_report: Optional[SweepReport] = None
 
     # -------------------------------------------------------------- lookup --
@@ -205,7 +198,7 @@ class SweepEngine:
         """Run every job through the fault-tolerant scheduler.
 
         Returns one ``(ok, result_or_failure)`` pair per job, in job
-        order — a crashing, hung, or killed job reports
+        order — a crashing or killed job reports
         ``(False, JobFailure)`` instead of aborting the run and
         discarding its completed siblings.  The per-attempt account is
         left in ``self.last_report``.
@@ -216,8 +209,7 @@ class SweepEngine:
         labels = [(name, config.fusion_mode.value)
                   for name, config in jobs]
         outcomes, report = run_jobs(
-            jobs, _execute_job_guarded, labels, workers=workers,
-            timeout=self.job_timeout)
+            jobs, _execute_job_guarded, labels, workers=workers)
         self.last_report = report
         return outcomes
 

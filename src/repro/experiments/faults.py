@@ -3,24 +3,24 @@
 The sweep engine's jobs are coarse (whole-trace simulations) and
 embarrassingly parallel, which makes worker loss cheap to recover from
 — *if* the execution layer notices.  A bare ``pool.map`` does not: an
-OOM-killed worker wedges the map forever, a hung simulation stalls the
-whole sweep, and one failing job aborts it.  This module provides the
-machinery that makes :class:`~repro.experiments.engine.SweepEngine`
-survive all three:
+OOM-killed worker wedges the map forever, and one failing job aborts
+it.  This module provides the machinery that makes
+:class:`~repro.experiments.engine.SweepEngine` survive both:
 
 * :func:`run_jobs` — a small process-per-job supervisor replacing
   ``pool.map``.  Every job runs in its own (daemonic, fork-preferring)
   worker process with a dedicated result pipe, so losing one worker —
   SIGKILL, OOM, segfault — loses exactly one in-flight attempt and
-  never a completed sibling.  The supervisor enforces an optional
-  per-job deadline (``--job-timeout``, default off).
-* One failure policy: a job whose pool attempt raised, timed out or
-  lost its worker runs once more, serially, in the supervisor after
-  the pool has drained.  A job is a pure function of its trace and its
+  never a completed sibling.
+* One failure policy: a job whose pool attempt raised or lost its
+  worker runs once more, serially, in the supervisor after the pool
+  has drained.  A job is a pure function of its trace and its
   configuration, so a second attempt in the same kind of process would
   meet the same input and fail the same way; only a different kind of
-  process — one with no fork, no deadline and no worker to lose — can
-  change the outcome.  Serial sweeps run each job exactly once.
+  process — one with no fork and no worker to lose — can change the
+  outcome.  Serial sweeps run each job exactly once.  There is no
+  per-job deadline: a job that hangs deterministically would hang its
+  serial attempt too.
 * :class:`SweepReport` — a structured account of every attempt (where
   it ran, how long, how it ended) so a sweep's fault history is
   inspectable (``--report-json``) instead of vanishing into a
@@ -39,7 +39,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 # Failure classes (AttemptRecord.outcome values).
 OUTCOME_OK = "ok"
 OUTCOME_RAISE = "raise"            # the job raised inside a live worker
-OUTCOME_TIMEOUT = "timeout"        # deadline exceeded; worker killed
 OUTCOME_LOST = "lost-worker"       # worker died without reporting back
 
 #: Characters of traceback tail kept when a failure is folded into a
@@ -60,7 +59,7 @@ class JobFailure:
     """
 
     error: str                       # "ExcType: message"
-    kind: str = OUTCOME_RAISE        # raise | timeout | lost-worker
+    kind: str = OUTCOME_RAISE        # raise | lost-worker
     traceback: str = ""
     exitcode: Optional[int] = None
 
@@ -88,7 +87,7 @@ class AttemptRecord:
 
     attempt: int                     # 1-based, monotonically increasing
     where: str                       # "pool" | "serial"
-    outcome: str                     # ok | raise | timeout | lost-worker
+    outcome: str                     # ok | raise | lost-worker
     duration_s: float
     error: Optional[str] = None
     traceback: Optional[str] = None
@@ -126,7 +125,7 @@ class JobRecord:
                 "attempts": [a.to_dict() for a in self.attempts]}
 
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -135,7 +134,6 @@ class SweepReport:
 
     jobs: List[JobRecord] = field(default_factory=list)
     workers: int = 1
-    timeout_s: Optional[float] = None
 
     # ------------------------------------------------------- accounting --
 
@@ -166,7 +164,6 @@ class SweepReport:
         return {
             "schema": REPORT_SCHEMA_VERSION,
             "workers": self.workers,
-            "timeout_s": self.timeout_s,
             "jobs": [job.to_dict() for job in self.jobs],
             "summary": {
                 "jobs": len(self.jobs),
@@ -180,10 +177,8 @@ class SweepReport:
 
     def render(self) -> str:
         """Human-readable summary, one line per job."""
-        lines = ["sweep report: %d job(s), %d worker(s), timeout %s"
-                 % (len(self.jobs), self.workers,
-                    ("off" if self.timeout_s is None
-                     else "%.1fs" % self.timeout_s))]
+        lines = ["sweep report: %d job(s), %d worker(s)"
+                 % (len(self.jobs), self.workers)]
         lines.append("  ok %d, failed %d; degraded-to-serial %d; "
                      "attempts %d"
                      % (len(self.jobs) - len(self.failed_jobs),
@@ -251,7 +246,6 @@ def _record_attempt(record: JobRecord, where: str, duration: float,
 def run_jobs(jobs: Sequence[object], worker: WorkerFn,
              labels: Sequence[Tuple[str, str]], *,
              workers: int,
-             timeout: Optional[float] = None,
              ) -> Tuple[List[Tuple[bool, object]], SweepReport]:
     """Run every job under the one failure policy; returns
     ``(outcomes, report)``.
@@ -259,23 +253,20 @@ def run_jobs(jobs: Sequence[object], worker: WorkerFn,
     ``outcomes`` is one ``(ok, result_or_JobFailure)`` pair per job in
     job order, exactly like the ``pool.map`` it replaces.  With
     ``workers > 1`` and more than one job, each job gets one attempt in
-    its own pool worker — a hung job is killed at its deadline, a lost
-    worker (SIGKILL/OOM) fails only its own attempt — and a job whose
-    pool attempt failed runs once more, serially, in this process after
-    the pool has drained.  Otherwise each job runs exactly once,
-    serially, here (no deadline: a process cannot kill itself
-    mid-job).
+    its own pool worker — a lost worker (SIGKILL/OOM) fails only its
+    own attempt — and a job whose pool attempt failed runs once more,
+    serially, in this process after the pool has drained.  Otherwise
+    each job runs exactly once, serially, here.
     """
     if len(jobs) != len(labels):
         raise ValueError("jobs and labels length mismatch")
     records = [JobRecord(workload=w, mode=m) for w, m in labels]
-    report = SweepReport(jobs=records, workers=max(1, workers),
-                         timeout_s=timeout)
+    report = SweepReport(jobs=records, workers=max(1, workers))
     outcomes: List[Tuple[bool, object]] = [(False, None)] * len(jobs)
     serial: Iterable[int] = range(len(jobs))
     if workers > 1 and len(jobs) > 1:
         serial = _run_pool(jobs, worker, records, outcomes,
-                           workers=workers, timeout=timeout)
+                           workers=workers)
     for index in serial:
         start = time.monotonic()
         ok, payload = worker(jobs[index])
@@ -291,11 +282,9 @@ class _Running:
     proc: object
     conn: object
     start: float
-    deadline: Optional[float]
 
 
-def _run_pool(jobs, worker, records, outcomes, *, workers,
-              timeout) -> List[int]:
+def _run_pool(jobs, worker, records, outcomes, *, workers) -> List[int]:
     """One attempt per job, each in its own worker process; returns the
     indices of the jobs whose attempt failed, in job order."""
     methods = multiprocessing.get_all_start_methods()
@@ -319,20 +308,14 @@ def _run_pool(jobs, worker, records, outcomes, *, workers,
                     daemon=True)
                 proc.start()
                 child_conn.close()
-                start = time.monotonic()
                 running.append(_Running(
                     index=next_index, proc=proc, conn=parent_conn,
-                    start=start,
-                    deadline=None if timeout is None else start + timeout))
+                    start=time.monotonic()))
                 next_index += 1
 
-            wait_s = None
-            if timeout is not None:
-                wait_s = max(0.0, min(run.deadline for run in running)
-                             - time.monotonic())
             multiprocessing.connection.wait(
                 [run.conn for run in running]
-                + [run.proc.sentinel for run in running], timeout=wait_s)
+                + [run.proc.sentinel for run in running])
 
             now = time.monotonic()
             still: List[_Running] = []
@@ -364,14 +347,6 @@ def _run_pool(jobs, worker, records, outcomes, *, workers,
                               "%s before returning a result"
                               % run.proc.exitcode,
                         kind=OUTCOME_LOST,
-                        exitcode=run.proc.exitcode), now)
-                elif run.deadline is not None and now >= run.deadline:
-                    run.proc.kill()
-                    run.proc.join()
-                    _fail(run, JobFailure(
-                        error="JobTimeout: exceeded the %.1fs per-job "
-                              "deadline; worker killed" % timeout,
-                        kind=OUTCOME_TIMEOUT,
                         exitcode=run.proc.exitcode), now)
                 else:
                     finished = False

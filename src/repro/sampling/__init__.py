@@ -26,7 +26,7 @@ from repro.sampling.sample import (
     plan_intervals,
     sampled_simulate,
 )
-from repro.sampling.scale import build_scaled_workload, clear_scaled_memo
+from repro.sampling.scale import build_scaled_workload
 from repro.sampling.warm import FunctionalWarmer, WarmState
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SampledEstimate",
     "WarmState",
     "build_scaled_workload",
-    "clear_scaled_memo",
     "estimate_mean",
     "plan_intervals",
     "sampled_simulate",

@@ -14,24 +14,21 @@ from repro.workloads.catalog import (
     WorkloadSpec,
     build_program,
     build_workload,
-    clear_trace_memo,
     ensure_known,
     workload_names,
 )
 from repro.workloads.synthesis import synthesize_trace
 from repro.workloads.trace_store import (
-    NO_TRACE_STORE_ENV,
     TRACE_DIR_ENV,
     TraceStore,
+    clear_trace_memo,
     default_trace_dir,
-    trace_store_enabled_by_default,
     workload_salt,
 )
 
 __all__ = [
     "CATALOG",
     "DEFAULT_MAX_UOPS",
-    "NO_TRACE_STORE_ENV",
     "TRACE_DIR_ENV",
     "TraceStore",
     "WorkloadSpec",
@@ -41,7 +38,6 @@ __all__ = [
     "default_trace_dir",
     "ensure_known",
     "synthesize_trace",
-    "trace_store_enabled_by_default",
     "workload_names",
     "workload_salt",
 ]

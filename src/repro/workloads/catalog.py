@@ -13,7 +13,7 @@ are dominated by non-memory idioms (Figure 2's exceptions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.config import DEFAULT_MAX_UOPS as _DEFAULT_MAX_UOPS
 from repro.isa.assembler import assemble
@@ -196,48 +196,18 @@ def build_program(name: str) -> Program:
 #: every CLI entry point (run/bench/analyze/debug/profile).
 DEFAULT_MAX_UOPS = _DEFAULT_MAX_UOPS
 
-#: In-process trace memo, keyed by ``(name, max_uops)``.  One entry per
-#: key regardless of whether the caller spelled the default cap out
-#: (unlike the previous ``lru_cache``, which kept separate entries for
-#: ``build_workload(n)`` and ``build_workload(n, 200_000)``).
-_TRACE_MEMO: Dict[Tuple[str, int], Trace] = {}
 
-
-def clear_trace_memo() -> None:
-    """Drop the in-process trace memo (tests / memory pressure)."""
-    _TRACE_MEMO.clear()
-
-
-def build_workload(name: str, max_uops: int = DEFAULT_MAX_UOPS,
-                   use_store: Optional[bool] = None) -> Trace:
+def build_workload(name: str, max_uops: int = DEFAULT_MAX_UOPS) -> Trace:
     """The named workload's dynamic trace: capture once, replay many.
 
-    Traces are deterministic, so each ``(name, max_uops)`` is cached at
-    two levels: an in-process memo (every call in one process returns
-    the *same* :class:`~repro.isa.trace.Trace` object), and — unless
-    disabled via ``use_store=False`` or ``$REPRO_NO_TRACE_STORE`` — the
-    persistent binary trace store
-    (:mod:`repro.workloads.trace_store`), so other processes and later
-    runs replay the serialized trace instead of re-interpreting the
-    kernel.
+    Traces are deterministic, so each ``(name, max_uops)`` goes through
+    :func:`repro.workloads.trace_store.cached_trace`: every call in one
+    process returns the *same* :class:`~repro.isa.trace.Trace` object,
+    and other processes and later runs replay the stored trace instead
+    of re-interpreting the kernel.
     """
-    key = (name, max_uops)
-    trace = _TRACE_MEMO.get(key)
-    if trace is not None:
-        return trace
-
     # Imported lazily: trace_store imports this module for the catalog.
-    from repro.workloads import trace_store as _store_mod
-    enabled = (_store_mod.trace_store_enabled_by_default()
-               if use_store is None else use_store)
-    if enabled:
-        store = _store_mod.TraceStore()
-        salt = _store_mod.workload_salt(name)
-        trace = store.get(name, max_uops, salt)
-        if trace is None:
-            trace = run_program(build_program(name), max_uops=max_uops)
-            store.put(name, max_uops, trace, salt)
-    else:
-        trace = run_program(build_program(name), max_uops=max_uops)
-    _TRACE_MEMO[key] = trace
-    return trace
+    from repro.workloads.trace_store import cached_trace, workload_salt
+    return cached_trace(
+        name, max_uops, workload_salt(name),
+        lambda: run_program(build_program(name), max_uops=max_uops))

@@ -40,6 +40,13 @@ def test_simulate_accepts_program_and_trace():
     assert from_program.cycles == from_trace.cycles  # deterministic
 
 
+def test_simulate_takes_no_cycle_cap():
+    # A run always ends when its trace commits; only PipelineCore.run
+    # keeps a cycle cap, for tests of the core itself.
+    with pytest.raises(TypeError, match="max_cycles"):
+        simulate(assemble(KERNEL), max_cycles=10)
+
+
 def test_simulate_modes_covers_all_by_default():
     results = simulate_modes(assemble(KERNEL))
     assert set(results) == {mode.value for mode in FusionMode}

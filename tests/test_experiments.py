@@ -76,7 +76,7 @@ def test_census_figures_share_one_census_per_trace(monkeypatch):
     # Figures 2, 4, 5 and Table I read one memoised census per trace:
     # two pairing passes per workload (consecutive + unrestricted).
     from repro.fusion import oracle
-    from repro.workloads.catalog import clear_trace_memo
+    from repro.workloads import clear_trace_memo
 
     real = oracle.oracle_memory_pairs
     calls = []

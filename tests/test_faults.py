@@ -1,13 +1,12 @@
 """Tests for the fault-tolerant sweep scheduler and its one failure
 policy (one pool attempt, then one serial attempt in the supervisor for
-a job that failed the pool): lost-worker recovery, deadline kills,
-SweepReport accounting, and engine-level end-to-end runs with faults
-injected into pool workers."""
+a job that failed the pool): lost-worker recovery, SweepReport
+accounting, and engine-level end-to-end runs with faults injected into
+pool workers."""
 
 import json
 import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -60,12 +59,6 @@ def _pool_raise_worker(job):
 def _exit_job1_worker(job):
     if job == 1 and _in_pool():
         os._exit(9)  # abrupt worker death (SIGKILL/OOM stand-in)
-    return True, job * 10
-
-
-def _hang_job1_worker(job):
-    if job == 1 and _in_pool():
-        time.sleep(60)  # killed by the per-job deadline
     return True, job * 10
 
 
@@ -146,18 +139,6 @@ def test_lost_worker_keeps_completed_siblings():
     assert killed.attempts[0].exitcode == 9
 
 
-def test_hung_job_hits_deadline_and_is_retried():
-    jobs = [0, 1]
-    labels = [("w%d" % j, "m") for j in jobs]
-    outcomes, report = run_jobs(jobs, _hang_job1_worker, labels,
-                                workers=2, timeout=1.0)
-    assert outcomes == [(True, 0), (True, 10)]
-    hung = report.jobs[1]
-    assert _trail(hung) == [("pool", "timeout"), ("serial", "ok")]
-    assert hung.attempts[0].duration_s >= 1.0
-    assert "deadline" in hung.attempts[0].error
-
-
 def test_double_pool_failure_degrades_to_serial():
     # Both jobs fail the pool; each degrades to the supervisor.
     jobs = [0, 1]
@@ -180,7 +161,8 @@ def test_sweep_report_round_trips_through_json():
                          [("w0", "m"), ("w1", "m")], workers=1)
     payload = report.to_dict()
     assert json.loads(json.dumps(payload)) == payload
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
+    assert "timeout_s" not in payload
     assert payload["summary"]["failed"] == 2
     assert payload["summary"]["attempts"] == 2
     assert set(payload["jobs"][0]["attempts"][0]) == {
@@ -262,14 +244,16 @@ def test_environment_arms_no_sweep_policy(monkeypatch):
     monkeypatch.setenv("REPRO_JOB_RETRIES", "-1")
     monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:1.0")
     engine = SweepEngine(jobs=2, use_cache=False)
-    assert engine.job_timeout is None
     engine.sweep([FusionMode.NONE], _DRILL_WORKLOADS)
     report = engine.last_report
     assert report.failure_classes() == {}
     assert [len(record.attempts) for record in report.jobs] == [1, 1]
 
 
-@pytest.mark.parametrize("bad", [0, -1.0, float("nan")])
-def test_job_timeout_must_be_positive_finite_seconds(bad):
-    with pytest.raises(ValueError, match="job_timeout"):
-        SweepEngine(jobs=2, job_timeout=bad)
+def test_sweeps_have_no_job_deadline():
+    # A deadline never applied to serial attempts, and a job killed at
+    # it re-ran in the supervisor with none: both parameters are gone.
+    with pytest.raises(TypeError, match="job_timeout"):
+        SweepEngine(jobs=2, job_timeout=5.0)
+    with pytest.raises(TypeError, match="timeout"):
+        run_jobs([1], _ok_worker, [("w", "m")], workers=1, timeout=5.0)

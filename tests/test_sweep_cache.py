@@ -1,13 +1,11 @@
 """Tests for the parallel sweep engine and the persistent result cache
-(serialization round-trips, fingerprint keying, corruption recovery,
-concurrent-writer safety, parallel-vs-sequential determinism, coverage
-bounds)."""
+(serialization round-trips, trace and fingerprint keying,
+corruption recovery, parallel-vs-sequential determinism, coverage
+bounds).  The rest of the cache's crash safety is tested with the trace
+store's in test_disk_store.py."""
 
-import errno
+import dataclasses
 import json
-import os
-import time
-import warnings
 
 import pytest
 
@@ -20,8 +18,16 @@ from repro.experiments.cache import (
     cache_key,
 )
 from repro.experiments.engine import SweepEngine
+from repro.isa.interp import run_program
 from repro.pipeline.core import CoreStats
-from repro.workloads import build_workload, ensure_known
+from repro.workloads import (
+    CATALOG,
+    DEFAULT_MAX_UOPS,
+    build_program,
+    build_workload,
+    ensure_known,
+)
+from repro.workloads import trace_store as trace_store_mod
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +72,10 @@ def test_fingerprint_stable_and_sensitive():
 
 def test_cache_key_includes_schema_version():
     key = cache_key("657.xz_1", ProcessorConfig())
-    assert key.startswith("657.xz_1-")
-    assert key.endswith("-v%d" % CACHE_SCHEMA_VERSION)
+    assert key.startswith(
+        trace_store_mod.trace_key("657.xz_1", DEFAULT_MAX_UOPS) + "-")
+    assert key.endswith("-%s-v%d" % (ProcessorConfig().fingerprint(),
+                                     CACHE_SCHEMA_VERSION))
 
 
 # ---- persistent cache --------------------------------------------------------
@@ -87,6 +95,33 @@ def test_cache_hit_and_miss_on_config_change(tmp_path, helios_result):
     assert cache.get("605.mcf", config) is None
 
 
+def test_cached_result_misses_after_its_kernel_changes(tmp_path,
+                                                      monkeypatch):
+    # A result is keyed by the trace it was simulated from: a catalog
+    # edit changes the trace's salt, so the old trace's result stops
+    # matching and the sweep simulates the new trace.
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    cache = ResultCache(tmp_path / "cache")
+    config = ProcessorConfig().with_mode(FusionMode.NONE)
+    old = SweepEngine(jobs=1, cache=cache).sweep(
+        [FusionMode.NONE], ["crc32"])["crc32"]["NoFusion"]
+    assert cache.get("crc32", config) is not None
+    spec = CATALOG["crc32"]
+    params = dict(spec.params)
+    params["iters"] = params["iters"] * 3 // 4
+    monkeypatch.setitem(CATALOG, "crc32", dataclasses.replace(
+        spec, params=tuple(sorted(params.items()))))
+    monkeypatch.setattr(trace_store_mod, "_SALT_MEMO", {})
+    assert cache.get("crc32", config) is None
+    new = SweepEngine(jobs=1, cache=cache).sweep(
+        [FusionMode.NONE], ["crc32"])["crc32"]["NoFusion"]
+    fresh = simulate(run_program(build_program("crc32"),
+                                 max_uops=DEFAULT_MAX_UOPS),
+                     config, name="crc32")
+    assert new.to_dict() == fresh.to_dict()
+    assert new.stats.cycles != old.stats.cycles
+
+
 def test_cache_recovers_from_corrupted_file(tmp_path, helios_result):
     cache = ResultCache(tmp_path)
     config = ProcessorConfig().with_mode(FusionMode.HELIOS)
@@ -94,10 +129,9 @@ def test_cache_recovers_from_corrupted_file(tmp_path, helios_result):
     path = cache.path_for(cache_key("657.xz_1", config))
     path.write_text("{ truncated garbage")
     assert cache.get("657.xz_1", config) is None
-    assert not path.exists()  # the corrupt entry was dropped
+    assert not path.exists()  # the corrupt entry was moved aside
     cache.put("657.xz_1", config, helios_result)  # and is re-writable
     assert cache.get("657.xz_1", config) is not None
-
 
 def test_cache_ignores_schema_mismatch(tmp_path, helios_result):
     cache = ResultCache(tmp_path)
@@ -116,41 +150,10 @@ def test_cache_inspection_and_clear(tmp_path, helios_result):
     cache.put("657.xz_1", config, helios_result)
     entries = cache.entries()
     assert len(entries) == 1
-    assert entries[0]["workload"] == "657.xz_1"
-    assert entries[0]["mode"] == "Helios"
+    assert entries[0]["what"] == "657.xz_1 Helios"
     assert cache.size_bytes() > 0
     assert cache.clear() == 1
     assert cache.entries() == []
-
-
-# ---- concurrent-writer safety ------------------------------------------------
-
-class _RaceyRoot:
-    """Root stub replaying a lost race: the directory listing still
-    shows a file another process has already deleted."""
-
-    def __init__(self, real, ghost):
-        self._real = real
-        self._ghost = ghost
-
-    def glob(self, pattern):
-        paths = list(self._real.glob(pattern))
-        if self._ghost.match(pattern):
-            paths.append(self._ghost)
-        return paths
-
-
-def test_entries_skip_files_deleted_mid_iteration(tmp_path, helios_result):
-    # path.stat() used to run outside the try block, so a file deleted
-    # by a concurrent clear()/put() between glob and stat crashed
-    # `repro cache info` with FileNotFoundError.
-    cache = ResultCache(tmp_path)
-    config = ProcessorConfig().with_mode(FusionMode.HELIOS)
-    cache.put("657.xz_1", config, helios_result)
-    cache.root = _RaceyRoot(tmp_path, tmp_path / "zz-deleted.json")
-    entries = cache.entries()                 # must not raise
-    assert [e["workload"] for e in entries] == ["657.xz_1"]
-    assert cache.size_bytes() > 0             # must not raise either
 
 
 def test_corrupt_entry_is_quarantined_not_destroyed(tmp_path,
@@ -170,72 +173,6 @@ def test_corrupt_entry_is_quarantined_not_destroyed(tmp_path,
     assert cache.size_bytes() == 0
     assert cache.clear() == 1                 # clear() reclaims it
     assert cache.quarantined() == []
-
-
-def test_concurrent_put_survives_corruption_cleanup(tmp_path,
-                                                    helios_result,
-                                                    monkeypatch):
-    # The old blind `path.unlink()` on a corrupt read could delete a
-    # *fresh valid* entry that a concurrent put() had just os.replace'd
-    # over the corrupt one.  Simulate the two-process interleaving: the
-    # reader parses the corrupt bytes, the writer replaces the file,
-    # then the reader runs its cleanup.
-    cache = ResultCache(tmp_path)
-    writer = ResultCache(tmp_path)            # the "other process"
-    config = ProcessorConfig().with_mode(FusionMode.HELIOS)
-    cache.put("657.xz_1", config, helios_result)
-    path = cache.path_for(cache_key("657.xz_1", config))
-    path.write_text("{ corrupt half-written entry")
-    real_load = json.load
-
-    def racing_load(handle, *args, **kwargs):
-        writer.put("657.xz_1", config, helios_result)
-        raise ValueError("simulated corrupt parse")
-
-    monkeypatch.setattr(json, "load", racing_load)
-    assert cache.get("657.xz_1", config) is None   # this read: a miss
-    monkeypatch.setattr(json, "load", real_load)
-    assert path.exists()                      # the fresh entry survived
-    assert cache.quarantined() == []          # and was not condemned
-    hit = cache.get("657.xz_1", config)
-    assert hit is not None and hit.stats == helios_result.stats
-
-
-def test_stale_orphan_tmps_swept_on_init(tmp_path):
-    stale = tmp_path / "dead-writer.tmp"
-    stale.write_text("half a payload")
-    old = time.time() - 7200
-    os.utime(stale, (old, old))
-    young = tmp_path / "live-writer.tmp"
-    young.write_text("in-flight payload")
-    cache = ResultCache(tmp_path)             # init sweeps age-gated
-    assert not stale.exists()                 # orphan reclaimed
-    assert young.exists()                     # live writer untouched
-    assert cache.orphan_tmps() == [young]
-    assert cache.entries() == []              # tmps never listed
-    assert cache.clear() == 1                 # clear() is not age-gated
-    assert cache.orphan_tmps() == []
-
-
-def test_put_degrades_to_uncached_on_write_failure(tmp_path,
-                                                   helios_result,
-                                                   monkeypatch):
-    from repro.experiments import cache as cache_mod
-    cache = ResultCache(tmp_path)
-    config = ProcessorConfig().with_mode(FusionMode.HELIOS)
-
-    def no_space(*args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(cache_mod.tempfile, "mkstemp", no_space)
-    with pytest.warns(RuntimeWarning, match="degraded to uncached"):
-        cache.put("657.xz_1", config, helios_result)
-    assert cache.degraded
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")        # the warning fires once
-        cache.put("657.xz_1", config, helios_result)
-    assert cache.get("657.xz_1", config) is None
-    assert list(tmp_path.glob("*.tmp")) == [] # nothing leaked
 
 
 # ---- sweep engine ------------------------------------------------------------

@@ -4,9 +4,10 @@ replay-many sweep front end.
 The trace layer must be a *pure perf change*: every test here pins
 some aspect of "replayed traces are indistinguishable from freshly
 interpreted ones" — µ-op-level bit identity, identical simulation
-results across {no store, cold store, warm store} × {jobs=1, jobs=2},
-invalidation exactly when the key changes, and cold rebuild (never a
-crash) on corruption.
+results across {freshly interpreted, cold store, warm store} ×
+{jobs=1, jobs=2}, invalidation exactly when the key changes, and cold
+rebuild (never a crash) on corruption.  The store's crash safety is
+tested with the result cache's in test_disk_store.py.
 """
 
 import multiprocessing
@@ -17,6 +18,7 @@ from repro.config import FusionMode, ProcessorConfig
 from repro.core.simulator import simulate
 from repro.experiments.engine import SweepEngine
 from repro.isa.interp import run_program
+from repro.sampling import build_scaled_workload
 from repro.workloads import (
     DEFAULT_MAX_UOPS,
     TraceStore,
@@ -127,112 +129,28 @@ def test_truncated_entry_rebuilds_cold(store_dir):
     assert len(build_workload(WORKLOAD, max_uops=500)) == 500
 
 
-# ------------------------------------------------- concurrent-writer safety --
-
-def test_corrupt_trace_is_quarantined_not_destroyed(store_dir):
-    build_workload(WORKLOAD, max_uops=500)
-    clear_trace_memo()
-    (path,) = store_dir.glob("*.trc")
-    path.write_bytes(b"not a trace file")
-    store = TraceStore()
-    assert store.get(WORKLOAD, 500) is None
-    assert not path.exists()
-    (quarantined,) = store.quarantined()
-    assert quarantined.name == path.name + ".corrupt"
-    assert store.entries() == []              # out of the namespace
-    assert store.size_bytes() == 0
-    assert store.clear() == 1                 # clear() reclaims it
-    assert store.quarantined() == []
-
-
-def test_concurrent_put_survives_trace_corruption_cleanup(store_dir,
-                                                          monkeypatch):
-    # The old blind unlink on a corrupt read could delete a fresh valid
-    # trace a concurrent put() had just os.replace'd over the corrupt
-    # one.  Simulate the interleaving: this reader fails to parse, the
-    # writer replaces the file, then the reader runs its cleanup.
-    trace = build_workload(WORKLOAD, max_uops=500)
-    clear_trace_memo()
-    store = TraceStore()
-    writer = TraceStore()                     # the "other process"
-    (path,) = store_dir.glob("*.trc")
-    path.write_bytes(b"corrupt half-written trace")
-
-    def racing_load(path_str):
-        writer.put(WORKLOAD, 500, trace)
-        raise trace_store_mod.TraceFormatError("simulated corrupt parse")
-
-    monkeypatch.setattr(trace_store_mod, "load_trace_binary", racing_load)
-    assert store.get(WORKLOAD, 500) is None   # this read: a miss
-    monkeypatch.undo()
-    assert path.exists()                      # the fresh trace survived
-    assert store.quarantined() == []          # and was not condemned
-    replayed = store.get(WORKLOAD, 500)
-    assert replayed is not None and len(replayed) == 500
-
-
-def test_trace_entries_skip_files_deleted_mid_iteration(store_dir):
-    # path.stat() used to run outside the try block: a file deleted by
-    # a concurrent clear()/put() between glob and stat crashed
-    # `repro trace info` with FileNotFoundError.
-    build_workload(WORKLOAD, max_uops=500)
-    store = TraceStore()
-
-    class _RaceyRoot:
-        def glob(self, pattern):
-            paths = list(store_dir.glob(pattern))
-            ghost = store_dir / "zz-deleted.trc"
-            if ghost.match(pattern):
-                paths.append(ghost)
-            return paths
-
-    store.root = _RaceyRoot()
-    entries = store.entries()                 # must not raise
-    assert [e["name"] for e in entries] == [WORKLOAD]
-    assert store.size_bytes() > 0             # must not raise either
-
-
-def test_stale_trace_tmps_swept_on_init(store_dir):
-    import os
-    import time
-    store_dir.mkdir(parents=True, exist_ok=True)
-    stale = store_dir / "dead-writer.tmp"
-    stale.write_bytes(b"half a trace")
-    old = time.time() - 7200
-    os.utime(stale, (old, old))
-    young = store_dir / "live-writer.tmp"
-    young.write_bytes(b"in-flight trace")
-    store = TraceStore()                      # init sweeps age-gated
-    assert not stale.exists()
-    assert young.exists()
-    assert store.orphan_tmps() == [young]
-    assert store.clear() == 1                 # clear() is not age-gated
-    assert store.orphan_tmps() == []
-
-
-def test_trace_put_degrades_on_write_failure(store_dir, monkeypatch):
-    trace = build_workload(WORKLOAD, max_uops=500)
-    store = TraceStore()
-
-    def no_space(*args, **kwargs):
-        import errno
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(trace_store_mod.tempfile, "mkstemp", no_space)
-    with pytest.warns(RuntimeWarning, match="degraded"):
-        assert store.put(WORKLOAD, 500, trace) is None
-    assert store.degraded
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")        # the warning fires once
-        assert store.put(WORKLOAD, 500, trace) is None
-
-
-def test_store_disabled_by_env(store_dir, monkeypatch):
+def test_no_trace_store_switch(store_dir, monkeypatch):
+    # The store has no off switch: a full or read-only disk already
+    # degrades it, and the result cache has none either.
     monkeypatch.setenv("REPRO_NO_TRACE_STORE", "1")
-    trace = build_workload(WORKLOAD, max_uops=500)
-    assert len(trace) == 500
-    assert not store_dir.exists() or not list(store_dir.glob("*.trc"))
+    assert len(build_workload(WORKLOAD, max_uops=500)) == 500
+    assert len(list(store_dir.glob("*.trc"))) == 1
+    with pytest.raises(TypeError, match="use_store"):
+        build_workload(WORKLOAD, max_uops=500, use_store=False)
+    with pytest.raises(TypeError, match="use_store"):
+        build_scaled_workload(WORKLOAD, 500, use_store=False)
+
+
+def test_scaled_and_catalog_traces_share_one_memo_and_store(store_dir):
+    clear_trace_memo()
+    scaled = build_scaled_workload(WORKLOAD, 1000)
+    assert build_scaled_workload(WORKLOAD, 1000) is scaled
+    (path,) = store_dir.glob("*.trc")
+    assert path.name.startswith(WORKLOAD + "_1000-u1000-")
+    clear_trace_memo()                        # one memo for both builders
+    replayed = build_scaled_workload(WORKLOAD, 1000)
+    assert replayed is not scaled
+    assert uop_fields(replayed) == uop_fields(scaled)
 
 
 # -------------------------------------------------- capture exactly once --
@@ -267,13 +185,12 @@ def _sweep_dicts(jobs, use_cache=False):
             for mode, result in results[WORKLOAD].items()}
 
 
-def test_results_identical_across_store_states_and_jobs(
-        store_dir, monkeypatch):
-    # No store at all.
-    monkeypatch.setenv("REPRO_NO_TRACE_STORE", "1")
-    clear_trace_memo()
-    baseline = _sweep_dicts(jobs=1)
-    monkeypatch.delenv("REPRO_NO_TRACE_STORE")
+def test_results_identical_across_store_states_and_jobs(store_dir):
+    # No store at all: a freshly interpreted trace, simulated directly.
+    fresh = run_program(build_program(WORKLOAD),
+                        max_uops=DEFAULT_MAX_UOPS)
+    baseline = {mode.value: simulate(fresh, ProcessorConfig().with_mode(
+        mode), name=WORKLOAD).to_dict() for mode in MODES}
 
     # Cold store, sequential.
     clear_trace_memo()

@@ -1,5 +1,8 @@
 """Tests for the workload catalog and kernels."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.fusion.oracle import analyze_trace
@@ -24,6 +27,17 @@ def test_catalog_names_are_the_papers():
     for expected in ("600.perlbench_1", "605.mcf", "657.xz_1", "657.xz_2",
                      "dijkstra", "susan", "typeset", "gsm_toast"):
         assert expected in CATALOG
+
+
+def test_deep_differential_legs_cover_the_catalog():
+    # CI's deep-differential job splits the catalog across its matrix
+    # by hand: every workload sits in exactly one leg.
+    ci = Path(__file__).resolve().parents[1] / ".github" / "workflows" \
+        / "ci.yml"
+    legs = re.findall(r"^ +workloads: (\S+)$", ci.read_text(), re.M)
+    assert len(legs) == 4
+    assert sorted(name for leg in legs for name in leg.split(",")) \
+        == sorted(CATALOG)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -12,9 +12,9 @@ Checks the sweep's failure policy end to end:
    bit-for-bit).
 2. **Faulted parallel sweep** — the same sweep through the
    fault-tolerant scheduler, with every 4th job in sweep order made to
-   fail in its pool worker, cycling through the three failure classes:
-   ``os._exit`` (a lost worker), ``raise`` and a hang that the per-job
-   deadline kills.  The faults are injected by wrapping the engine's
+   fail in its pool worker, alternating between the two failure
+   classes: ``os._exit`` (a lost worker) and ``raise``.  The faults are
+   injected by wrapping the engine's
    ``_execute_job``, which forked workers inherit; the wrapper faults
    only in a pool worker, never in the supervisor.
 3. **Verification** — the faulted sweep must complete, every result
@@ -23,7 +23,7 @@ Checks the sweep's failure policy end to end:
    (a second cache reader must be served every pair from disk,
    unchanged), and the :class:`SweepReport` must show each faulted job
    as ``pool <class>, serial ok``, each other job as ``pool ok``, and
-   each of the three failure classes at least once.
+   both failure classes at least once (so at least 5 jobs are needed).
 
 Exit status 0 when every check holds; 1 otherwise (with a diagnostic
 and the report rendered to stdout).
@@ -36,7 +36,6 @@ import json
 import multiprocessing
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -48,15 +47,13 @@ from repro.experiments.faults import (  # noqa: E402
     OUTCOME_LOST,
     OUTCOME_OK,
     OUTCOME_RAISE,
-    OUTCOME_TIMEOUT,
 )
 from repro.workloads import ensure_known, workload_names  # noqa: E402
 
 #: Every FAULT_EVERY-th job in sweep order faults, cycling through
 #: these kinds; each maps to the failure class the report must show.
 FAULT_EVERY = 4
-FAULT_KINDS = (("exit", OUTCOME_LOST), ("raise", OUTCOME_RAISE),
-               ("hang", OUTCOME_TIMEOUT))
+FAULT_KINDS = (("exit", OUTCOME_LOST), ("raise", OUTCOME_RAISE))
 
 _MODES = {mode.value.lower(): mode for mode in FusionMode}
 
@@ -70,9 +67,6 @@ def parse_args(argv):
                              "(default: NoFusion,Helios)")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker processes for the faulted sweep")
-    parser.add_argument("--job-timeout", type=float, default=20.0,
-                        help="per-job deadline in seconds (bounds every "
-                             "injected hang; default 20)")
     parser.add_argument("--report-out", default=None, metavar="FILE",
                         help="also write the SweepReport JSON here")
     return parser.parse_args(argv)
@@ -104,11 +98,8 @@ def faulty(execute, plan):
         if kind is not None and multiprocessing.parent_process() is not None:
             if kind == "exit":
                 os._exit(86)           # abrupt death: SIGKILL/OOM stand-in
-            if kind == "raise":
-                raise RuntimeError("drill fault in %s/%s"
-                                   % (name, config.fusion_mode.value))
-            while True:                # hang: killed by the job deadline
-                time.sleep(0.5)
+            raise RuntimeError("drill fault in %s/%s"
+                               % (name, config.fusion_mode.value))
         return execute(job)
     return execute_with_faults
 
@@ -161,11 +152,9 @@ def main(argv=None):
         os.environ.get("REPRO_CACHE_DIR", "."), "fault-drill-cache")
     cache = ResultCache(cache_dir)
     cache.clear()
-    print("faulted sweep: %d of %d job(s) fault in the pool, %d worker(s), "
-          "timeout %.0fs" % (len(plan), expected_jobs, args.jobs,
-                             args.job_timeout))
-    engine = SweepEngine(jobs=args.jobs, cache=cache, use_cache=True,
-                         job_timeout=args.job_timeout)
+    print("faulted sweep: %d of %d job(s) fault in the pool, %d worker(s)"
+          % (len(plan), expected_jobs, args.jobs))
+    engine = SweepEngine(jobs=args.jobs, cache=cache, use_cache=True)
     real = engine_mod._execute_job
     engine_mod._execute_job = faulty(real, plan)
     try:
