@@ -230,13 +230,7 @@ def check_pipeline(trace: Trace, config: ProcessorConfig,
     check = ModeCheck(mode=config.fusion_mode.value)
     clog = CommitLog()
     sanitizer = Sanitizer() if sanitize else None
-    oracle_pairs = None
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        oracle_pairs = cached_oracle_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    core = PipelineCore(trace, config, oracle_pairs=oracle_pairs,
-                        commit_log=clog, sanitizer=sanitizer)
+    core = PipelineCore(trace, config, commit_log=clog, sanitizer=sanitizer)
     completed = False
     try:
         stats = core.run()

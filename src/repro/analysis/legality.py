@@ -114,9 +114,7 @@ class Reason(enum.Enum):
     # -- policy codes (legal, but a producer declined) ----------------
     POINTER_CHASE = ("pointer-chase", True)
     ALREADY_FUSED = ("already-fused", True)
-    ASYMMETRIC_SIZE = ("asymmetric-size", True)
     BASE_MISMATCH = ("base-mismatch", True)
-    NON_CONTIGUOUS = ("non-contiguous", True)
 
     def __new__(cls, code: str, policy: bool) -> "Reason":
         obj = object.__new__(cls)

@@ -308,18 +308,10 @@ def _oracle_pairs(trace: Trace, config: ProcessorConfig) -> list:
 
 def _committed_pairs(trace: Trace, config: ProcessorConfig) -> list:
     """Memory pairs the pipeline commits fused under ``config``."""
-    from repro.fusion.oracle import cached_oracle_pairs
     from repro.obs import CommitLog
     from repro.pipeline.core import PipelineCore
     clog = CommitLog()
-    oracle_pairs = None
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        oracle_pairs = cached_oracle_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    core = PipelineCore(trace, config, oracle_pairs=oracle_pairs,
-                        commit_log=clog)
-    core.run()
+    PipelineCore(trace, config, commit_log=clog).run()
     return [(head_seq, tail_seq)
             for head_seq, tail_seq, kind in clog.fused_pairs()
             if kind in _MEMORY_KINDS]

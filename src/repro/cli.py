@@ -317,8 +317,7 @@ def _cmd_profile(args) -> int:
     if args.workload not in CATALOG:
         raise SystemExit("unknown workload %r (see `repro workloads`)"
                          % args.workload)
-    mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
-    payload = profile_run(args.workload, mode=mode,
+    payload = profile_run(args.workload, mode=_one_mode(args),
                           max_uops=args.max_uops,
                           config=_config_from(args), top=args.top)
     # Write artifacts before printing: a downstream `| head` closing
@@ -347,11 +346,8 @@ def _cmd_debug(args) -> int:
     if args.workload not in CATALOG:
         raise SystemExit("unknown workload %r (see `repro workloads`)"
                          % args.workload)
-    if args.max_uops:
-        trace = build_workload(args.workload, max_uops=args.max_uops)
-    else:
-        trace = build_workload(args.workload)
-    mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
+    mode = _one_mode(args)
+    trace = _trace_for(args)
     config = _config_from(args).with_mode(mode)
     observer = (PipelineObserver(ring_capacity=args.ring) if args.ring
                 else PipelineObserver())

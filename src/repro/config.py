@@ -112,7 +112,6 @@ class ProcessorConfig:
 
     # Control flow.
     branch_mispredict_penalty: int = 12
-    pipeline_depth_to_execute: int = 7
 
     # Fusion parameters.
     fusion_mode: FusionMode = FusionMode.NONE

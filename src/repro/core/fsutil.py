@@ -87,8 +87,8 @@ class DiskStore:
     above.
 
     A subclass sets :attr:`suffix` and :attr:`label` and supplies its
-    codec: :meth:`encode`, :meth:`decode` (which raises one of
-    :data:`CORRUPT_ERRORS` on a corrupt entry) and :meth:`describe`.
+    codec: :meth:`encode`, :meth:`decode` and :meth:`describe` (both
+    raise one of :data:`CORRUPT_ERRORS` on a corrupt entry).
     """
 
     suffix = ""
@@ -117,8 +117,9 @@ class DiskStore:
     def decode(self, handle: BinaryIO):
         raise NotImplementedError
 
-    def describe(self, value) -> str:
-        """What one decoded entry holds, for ``entries()``."""
+    def describe(self, handle: BinaryIO) -> str:
+        """What the entry open on ``handle`` holds, for ``entries()``;
+        it may read no more of the entry than it needs."""
         raise NotImplementedError
 
     # ------------------------------------------------------------- access --
@@ -209,7 +210,7 @@ class DiskStore:
                 continue  # deleted by a concurrent clear()/put()
             try:
                 with open(path, "rb") as handle:
-                    what = self.describe(self.decode(handle))
+                    what = self.describe(handle)
             except FileNotFoundError:
                 continue  # vanished between stat and open
             except CORRUPT_ERRORS + (OSError,):

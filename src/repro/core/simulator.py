@@ -16,21 +16,11 @@ from typing import Dict, Iterable, Optional, Union
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.results import SimResult
-from repro.fusion.oracle import cached_oracle_pairs
 from repro.isa.interp import run_program
 from repro.isa.program import Program
 from repro.isa.trace import Trace
 from repro.obs import PipelineObserver
 from repro.pipeline.core import PipelineCore
-
-
-def _shared_oracle_pairs(trace: Trace, config: ProcessorConfig):
-    """The per-trace cached oracle pairing, for modes that consume it."""
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        return cached_oracle_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    return None
 
 
 def simulate(workload: Union[Program, Trace],
@@ -46,9 +36,7 @@ def simulate(workload: Union[Program, Trace],
     """
     config = config or ProcessorConfig()
     trace = run_program(workload) if isinstance(workload, Program) else workload
-    core = PipelineCore(trace, config,
-                        oracle_pairs=_shared_oracle_pairs(trace, config),
-                        observer=observer)
+    core = PipelineCore(trace, config, observer=observer)
     stats = core.run()
     # The core already computed the oracle prediction-needing pair set
     # for its coverage accounting; its size is the coverage denominator.

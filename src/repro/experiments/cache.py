@@ -83,7 +83,8 @@ class ResultCache(fsutil.DiskStore):
             return None
         return SimResult.from_dict(data["result"])
 
-    def describe(self, value) -> str:
+    def describe(self, handle) -> str:
+        value = self.decode(handle)
         if value is None:
             return "other schema"
         return "%s %s" % (value.workload, value.mode.value)

@@ -27,8 +27,6 @@ from repro.fusion.taxonomy import (
     BaseRegKind,
     Contiguity,
     FusedPair,
-    classify_contiguity,
-    fuseable_span,
     span,
 )
 
@@ -42,9 +40,7 @@ __all__ = [
     "OTHER_IDIOMS",
     "OracleAnalysis",
     "analyze_trace",
-    "classify_contiguity",
     "consecutive_memory_pairs",
-    "fuseable_span",
     "match_idiom",
     "match_memory_pair",
     "oracle_memory_pairs",

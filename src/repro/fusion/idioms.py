@@ -152,8 +152,7 @@ def match_idiom(head: Instruction, tail: Instruction) -> Optional[Idiom]:
     return None
 
 
-def match_memory_pair(head: Instruction, tail: Instruction,
-                      allow_asymmetric: bool = True) -> Optional[str]:
+def match_memory_pair(head: Instruction, tail: Instruction) -> Optional[str]:
     """Statically match a load pair / store pair idiom.
 
     Returns ``"load_pair"``, ``"store_pair"``, or ``None``.  The static
@@ -171,15 +170,11 @@ def match_memory_pair(head: Instruction, tail: Instruction,
                 return None      # tail's address depends on head's result
             if head.rd == tail.rd:
                 return None      # fused µ-op needs two distinct destinations
-        if not allow_asymmetric and head.mem_size != tail.mem_size:
-            return None
         if _adjacent(head, tail):
             return "load_pair"
         return None
     if head.is_store and tail.is_store:
         if tail.rs1 != head.rs1:
-            return None
-        if not allow_asymmetric and head.mem_size != tail.mem_size:
             return None
         if _adjacent(head, tail):
             return "store_pair"

@@ -68,17 +68,13 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
                         max_distance: int = 64,
                         consecutive_only: bool = False,
                         require_same_base: bool = False,
-                        require_contiguous: bool = False,
-                        allow_asymmetric: bool = True,
-                        stores_sbr_only: bool = True,
                         reason_counts: Optional[Dict[Reason, int]] = None,
                         ) -> List[FusedPair]:
     """Greedy oldest-first oracle pairing of memory µ-ops (fast scan).
 
-    With ``consecutive_only``/``require_same_base``/``require_contiguous``
-    the same routine also produces the restricted censuses used by the
-    motivation figures (e.g. consecutive-contiguous-SBR pairs for
-    Figure 4's `Contiguous` category).  ``reason_counts`` (optional,
+    With ``consecutive_only`` and ``require_same_base`` the same routine
+    also produces Figure 4's census of adjacent same-base pairs
+    (:func:`consecutive_memory_pairs`).  ``reason_counts`` (optional,
     mutated in place) histograms the :class:`Reason` for every
     same-kind candidate the scan examined and declined.  Candidates
     past an early loop exit (serializing µ-op or a catalyst store under
@@ -94,8 +90,8 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
       the window's first store: any later one has that store in its
       catalyst (``ALIASING_STORE``);
     * a candidate is first put through the checks that need no
-      catalyst state (already fused, size, base register, span,
-      contiguity), which decide almost every rejection;
+      catalyst state (already fused, base register, span), which
+      decide almost every rejection;
     * only a candidate that passes them advances the register/memory
       taint walk through the catalyst, from where the previous such
       candidate left it, so a head none of whose candidates passes the
@@ -104,9 +100,9 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
     The work per head is bounded by its window's same-kind µ-ops plus
     the catalyst up to the last candidate that passed the address
     checks.  The tier-1 suite asserts identical pair lists and
-    censuses against the reference on every catalog workload and flag
-    shape; when the pairing rules change, edit the reference first,
-    then mirror the change here.
+    censuses against the reference on every catalog workload and
+    every flag; when the pairing rules change, edit the reference
+    first, then mirror the change here.
     """
     uops = list(trace)
     n = len(uops)
@@ -166,11 +162,10 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
         j = candidates[k]
         if j < stop:  # head state, read once the window holds a candidate
             head_addr = head.addr
-            head_size = head.size
-            head_end = head_addr + head_size
+            head_end = head_addr + head.size
             head_base = head.inst.rs1
-            check_base = require_same_base or (head_is_store
-                                               and stores_sbr_only)
+            # Only SBR store pairs fuse (Section IV-B).
+            check_base = require_same_base or head_is_store
             head_dest = head.dest
             tainted = {head_dest} if head_dest is not None else set()
             tainted_mem = [(head_addr, head_end)] if head_is_store else None
@@ -181,8 +176,6 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
             tail_seq = tail.seq
             if fused[tail_seq]:
                 reason = Reason.ALREADY_FUSED
-            elif not allow_asymmetric and head_size != tail.size:
-                reason = Reason.ASYMMETRIC_SIZE
             else:
                 tail_addr = tail.addr
                 tail_end = tail_addr + tail.size
@@ -193,9 +186,6 @@ def oracle_memory_pairs(trace: Sequence[MicroOp],
                       - (head_addr if head_addr < tail_addr
                          else tail_addr)) > granularity:
                     reason = Reason.SPAN
-                elif require_contiguous and not (
-                        head_end == tail_addr or tail_end == head_addr):
-                    reason = Reason.NON_CONTIGUOUS
                 else:
                     # Bring the taint state up to the tail through the
                     # catalyst µ-ops not yet walked.  With nothing
@@ -364,14 +354,12 @@ def predictive_pairs_from(pairs: Sequence[FusedPair]) -> Set[Tuple[int, int]]:
 
 
 def consecutive_memory_pairs(trace: Sequence[MicroOp],
-                             granularity: int = 64,
-                             require_same_base: bool = True,
-                             allow_asymmetric: bool = True) -> List[FusedPair]:
-    """Adjacent memory pairs fuseable by address (Figure 4's census)."""
+                             granularity: int = 64) -> List[FusedPair]:
+    """Adjacent same-base memory pairs fuseable by address (Figure 4's
+    census)."""
     return oracle_memory_pairs(
         trace, granularity=granularity, consecutive_only=True,
-        require_same_base=require_same_base,
-        allow_asymmetric=allow_asymmetric)
+        require_same_base=True)
 
 
 def oracle_other_pairs(trace: Sequence[MicroOp],

@@ -56,11 +56,6 @@ def span(addr_a: int, size_a: int, addr_b: int, size_b: int) -> int:
     return max(addr_a + size_a, addr_b + size_b) - min(addr_a, addr_b)
 
 
-def fuseable_span(head: MicroOp, tail: MicroOp, granularity: int = 64) -> bool:
-    """True when the two accesses fit within one access-granularity region."""
-    return span(head.addr, head.size, tail.addr, tail.size) <= granularity
-
-
 def classify_contiguity_at(a0: int, size_a: int, b0: int, size_b: int,
                            granularity: int = 64,
                            line_bytes: int = 64) -> Contiguity:
@@ -80,14 +75,6 @@ def classify_contiguity_at(a0: int, size_a: int, b0: int, size_b: int,
     if a0 // line_bytes == b0 // line_bytes and (a1 - 1) // line_bytes == (b1 - 1) // line_bytes:
         return Contiguity.SAME_LINE
     return Contiguity.NEXT_LINE
-
-
-def classify_contiguity(head: MicroOp, tail: MicroOp,
-                        granularity: int = 64,
-                        line_bytes: int = 64) -> Contiguity:
-    """Classify a memory pair into Figure 4's categories."""
-    return classify_contiguity_at(head.addr, head.size, tail.addr,
-                                  tail.size, granularity, line_bytes)
 
 
 def classify_relative(delta: int, size_head: int, size_tail: int,

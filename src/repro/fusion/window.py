@@ -9,30 +9,29 @@ Queue plays that role for its predictive scheme).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.config import FusionMode
 from repro.fusion.idioms import match_idiom, match_memory_pair
-from repro.fusion.taxonomy import FusedPair, make_memory_pair
 from repro.isa.trace import MicroOp
 
 
 class ConsecutiveFusionWindow:
-    """Greedy adjacent-pair fusion over a window of decoded µ-ops.
+    """Which adjacent µ-op pairs a decode group may fuse.
 
     Parameters mirror the paper's configurations:
 
-    * ``fuse_memory`` — enable load pair / store pair idioms.
+    * ``fuse_memory`` — enable load pair / store pair idioms (of any
+      access sizes, as in CSF-SBR and everything built on it).
     * ``fuse_others`` — enable the non-memory Table I idioms.
-    * ``allow_asymmetric`` — memory pairs may have different access
-      sizes (true for CSF-SBR and everything built on it).
+
+    The greedy left-to-right pairing itself runs in the pipeline's
+    Decode stage (``PipelineCore._decode``).
     """
 
-    def __init__(self, fuse_memory: bool = True, fuse_others: bool = True,
-                 allow_asymmetric: bool = True):
+    def __init__(self, fuse_memory: bool = True, fuse_others: bool = True):
         self.fuse_memory = fuse_memory
         self.fuse_others = fuse_others
-        self.allow_asymmetric = allow_asymmetric
         # match_kind memo, keyed by static Instruction identity.  The
         # window lives on one core, which pins its trace (and therefore
         # every Instruction that can reach here) for the cache lifetime,
@@ -56,8 +55,7 @@ class ConsecutiveFusionWindow:
     def match_kind(self, head: MicroOp, tail: MicroOp):
         """``(idiom name, is_memory)`` for a fuseable pair, else None.
 
-        The fuse/no-fuse verdict (unlike :meth:`match`'s contiguity
-        classification) depends only on the *static* instruction pair,
+        The verdict depends only on the *static* instruction pair,
         which repeats across the dynamic trace — so the pipeline's
         per-decode-group probe is served from a memo.
         """
@@ -69,8 +67,7 @@ class ConsecutiveFusionWindow:
             pass
         result = None
         if self.fuse_memory and head.is_memory and tail.is_memory:
-            kind = match_memory_pair(head.inst, tail.inst,
-                                     allow_asymmetric=self.allow_asymmetric)
+            kind = match_memory_pair(head.inst, tail.inst)
             if kind is not None:
                 result = (kind, True)
         if result is None and self.fuse_others:
@@ -79,37 +76,3 @@ class ConsecutiveFusionWindow:
                 result = (idiom.name, False)
         cache[key] = result
         return result
-
-    def match(self, head: MicroOp, tail: MicroOp) -> Optional[FusedPair]:
-        """Match one adjacent (in-window) pair; None when not fuseable."""
-        if self.fuse_memory and head.is_memory and tail.is_memory:
-            kind = match_memory_pair(head.inst, tail.inst,
-                                     allow_asymmetric=self.allow_asymmetric)
-            if kind is not None:
-                return make_memory_pair(head, tail)
-        if self.fuse_others:
-            idiom = match_idiom(head.inst, tail.inst)
-            if idiom is not None:
-                return FusedPair(head_seq=head.seq, tail_seq=tail.seq,
-                                 idiom=idiom.name, is_memory=False)
-        return None
-
-    def find_pairs(self, window: Sequence[MicroOp]) -> List[FusedPair]:
-        """Greedy left-to-right fusion of adjacent µ-ops in a window.
-
-        Each µ-op participates in at most one pair; a fused tail
-        disappears, so scanning resumes after it.
-        """
-        pairs: List[FusedPair] = []
-        i = 0
-        while i + 1 < len(window):
-            head, tail = window[i], window[i + 1]
-            # Only dynamically adjacent µ-ops form consecutive pairs.
-            if tail.seq == head.seq + 1:
-                pair = self.match(head, tail)
-                if pair is not None:
-                    pairs.append(pair)
-                    i += 2
-                    continue
-            i += 1
-        return pairs

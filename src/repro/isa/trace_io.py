@@ -23,6 +23,7 @@ programs:
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import struct
@@ -262,6 +263,31 @@ def save_trace_binary(trace: Trace, target: Union[str, BinaryIO]) -> None:
         target.write(payload)
 
 
+def read_trace_header(handle: BinaryIO) -> tuple[str, int, int, int, int]:
+    """``(name, num_insts, num_uops, body_len, body_crc)`` from the
+    header at ``handle``'s position, leaving the handle at the body.
+
+    Reads only the header, so a listing of stored traces costs no
+    decompression.  Raises :class:`TraceFormatError` on a truncated
+    header, bad magic or an unknown version.
+    """
+    fixed = handle.read(_HEADER_STRUCT.size)
+    if len(fixed) < _HEADER_STRUCT.size:
+        raise TraceFormatError("truncated binary trace header")
+    (magic, version, name_len, num_insts, num_uops,
+     body_len, body_crc) = _HEADER_STRUCT.unpack(fixed)
+    if magic != TRACE_BINARY_MAGIC:
+        raise TraceFormatError("not a repro binary trace")
+    if version != TRACE_BINARY_VERSION:
+        raise TraceFormatError(
+            "unsupported binary trace version %d (this reader "
+            "understands version %d)" % (version, TRACE_BINARY_VERSION))
+    name = handle.read(name_len)
+    if len(name) < name_len:
+        raise TraceFormatError("truncated binary trace header")
+    return name.decode("utf-8"), num_insts, num_uops, body_len, body_crc
+
+
 def load_trace_binary(source: Union[str, bytes, BinaryIO]) -> Trace:
     """Read a trace written by :func:`save_trace_binary`.
 
@@ -271,26 +297,12 @@ def load_trace_binary(source: Union[str, bytes, BinaryIO]) -> Trace:
     """
     if isinstance(source, str):
         with open(source, "rb") as handle:
-            payload = handle.read()
-    elif isinstance(source, bytes):
-        payload = source
-    else:
-        payload = source.read()
-
-    if len(payload) < _HEADER_STRUCT.size:
-        raise TraceFormatError("truncated binary trace header")
-    (magic, version, name_len, num_insts, num_uops,
-     body_len, body_crc) = _HEADER_STRUCT.unpack_from(payload)
-    if magic != TRACE_BINARY_MAGIC:
-        raise TraceFormatError("not a repro binary trace")
-    if version != TRACE_BINARY_VERSION:
-        raise TraceFormatError(
-            "unsupported binary trace version %d (this reader "
-            "understands version %d)" % (version, TRACE_BINARY_VERSION))
-    offset = _HEADER_STRUCT.size
-    name = payload[offset:offset + name_len].decode("utf-8")
+            return load_trace_binary(handle)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    name, num_insts, num_uops, body_len, body_crc = read_trace_header(source)
     try:
-        body = zlib.decompress(payload[offset + name_len:])
+        body = zlib.decompress(source.read())
     except zlib.error as exc:
         raise TraceFormatError("corrupt binary trace body: %s" % exc) from exc
     if len(body) != body_len or zlib.crc32(body) != body_crc:

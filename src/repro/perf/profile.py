@@ -97,10 +97,7 @@ def profile_run(workload: str,
     full = base.with_mode(mode)
     kwargs = {"max_uops": max_uops} if max_uops else {}
     trace = build_workload(workload, **kwargs)
-
-    from repro.core.simulator import _shared_oracle_pairs
-    core = PipelineCore(trace, full,
-                        oracle_pairs=_shared_oracle_pairs(trace, full))
+    core = PipelineCore(trace, full)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()

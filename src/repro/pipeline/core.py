@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.fusion.oracle import oracle_memory_pairs, predictive_pairs_from
+from repro.fusion.oracle import cached_oracle_pairs, predictive_pairs_from
 from repro.fusion.taxonomy import span
 from repro.fusion.window import ConsecutiveFusionWindow
 from repro.gcpause import paused_gc
@@ -214,12 +214,12 @@ class CoreStats:
 class PipelineCore:
     """One simulated core bound to one dynamic trace.
 
-    ``oracle_pairs`` optionally supplies the unrestricted oracle memory
-    pairing for ``(trace, config.cache_access_granularity,
-    config.max_fusion_distance)`` — computed once per trace (see
-    :func:`repro.fusion.oracle.cached_oracle_pairs`) and shared across
-    the Helios and Oracle configurations of a sweep.  When omitted, the
-    core derives it itself, so direct construction behaves as before.
+    The modes that consume the oracle memory pairing
+    (``FusionMode.non_consecutive``: Helios for its coverage census,
+    OracleFusion to drive fusion) look it up through
+    :func:`repro.fusion.oracle.cached_oracle_pairs`, so every core on
+    one trace shares one scan.  ``oracle_pairs`` overrides that lookup:
+    the sampler passes an empty pairing to skip Helios's census.
     """
 
     def __init__(self, trace: Trace, config: ProcessorConfig,
@@ -314,21 +314,17 @@ class PipelineCore:
         self.predictive_pairs: Set[Tuple[int, int]] = set()
         self._eligible_pair_by_seq: Dict[int, Tuple[int, int]] = {}
         self._credited_pairs: Set[Tuple[int, int]] = set()
+        self._oracle_tail_to_head: Dict[int, int] = {}
+        if mode.non_consecutive and oracle_pairs is None:
+            oracle_pairs = cached_oracle_pairs(
+                trace, granularity=config.cache_access_granularity,
+                max_distance=config.max_fusion_distance)
         if mode is FusionMode.HELIOS:
-            if oracle_pairs is None:
-                oracle_pairs = oracle_memory_pairs(
-                    self.trace, granularity=config.cache_access_granularity,
-                    max_distance=config.max_fusion_distance)
             self.predictive_pairs = predictive_pairs_from(oracle_pairs)
             for pair in self.predictive_pairs:
                 self._eligible_pair_by_seq[pair[0]] = pair
                 self._eligible_pair_by_seq[pair[1]] = pair
-        self._oracle_tail_to_head: Dict[int, int] = {}
-        if mode is FusionMode.ORACLE:
-            if oracle_pairs is None:
-                oracle_pairs = oracle_memory_pairs(
-                    self.trace, granularity=config.cache_access_granularity,
-                    max_distance=config.max_fusion_distance)
+        elif mode is FusionMode.ORACLE:
             self._oracle_tail_to_head = {
                 p.tail_seq: p.head_seq for p in oracle_pairs}
 
@@ -345,8 +341,7 @@ class PipelineCore:
                 if value is not None:
                     setattr(self, attr, value)
             if mode is FusionMode.HELIOS:
-                for attr in ("fp", "uch_loads", "uch_stores",
-                             "uch_load_queue", "uch_store_queue"):
+                for attr in ("fp", "uch_loads", "uch_stores"):
                     value = getattr(warm_state, attr, None)
                     if value is not None:
                         setattr(self, attr, value)
@@ -1021,6 +1016,7 @@ class PipelineCore:
         aq_by_seq_pop = self._aq_by_seq.pop
         now = self.now
         ev = self._ev
+        stats = self.stats
         width = self.config.rename_width
         while renamed < width and aq:
             if len(rename_latch) >= latch_cap:
@@ -1050,7 +1046,9 @@ class PipelineCore:
                     else:
                         rename_latch.append(uop)  # will flip NCS Ready
                 else:
-                    self._unfuse_pending(uop.ghost_of, outcome)
+                    # Cases 2-4: unfuse the pending NCSF'd µ-op in place.
+                    stats.fp_legality_unfusions += 1
+                    self._unfuse(uop.ghost_of, outcome)
                     # The tail nucleus now needs its own rename + entries.
                     uop.is_tail_ghost = False
                     uop.ghost_of = None
@@ -1080,26 +1078,9 @@ class PipelineCore:
         self._cycle_rename_block = renamed == 0 and (
             blocked or (bool(aq) and len(rename_latch) >= latch_cap))
         if self._cycle_rename_block:
-            self.stats.rename_stall_cycles += 1
+            stats.rename_stall_cycles += 1
             if ev is not None:
                 ev.emit(now, "stall", -1, "rename")
-
-    def _unfuse_pending(self, head: PipeUop, reason: str) -> None:
-        """Cases 2-4: unfuse a pending NCSF'd µ-op in place."""
-        self.stats.fp_legality_unfusions += 1
-        if head.fp_prediction is not None and self.fp is not None:
-            self.fp.resolve(head.fp_prediction, correct=False)
-            head.fp_prediction = None
-        before = head.dests
-        head.unfuse(reason)
-        if self._ev is not None:
-            self._ev.emit(self.now, "unfuse", head.seq, reason)
-        dropped = [d for d in before if d not in head.dests]
-        if head.rename_c:
-            self.rename_unit.release(dropped)
-        entry = self._lsq_entries.get(head.seq)
-        if entry is not None:
-            entry.drop_tail()
 
     # --------------------------------------------------------------- dispatch --
 
@@ -1429,58 +1410,47 @@ class PipelineCore:
         self.stats.fp_address_mispredictions += 1
         self.stats.fusion_flushes += 1
         self._flush_cause = "fusion"
-        if uop.fp_prediction is not None and self.fp is not None:
-            self.fp.resolve(uop.fp_prediction, correct=False)
-            uop.fp_prediction = None
-        tail_seq = uop.tail.seq
-        before = uop.dests
-        uop.unfuse("span")
-        if self._ev is not None:
-            self._ev.emit(self.now, "unfuse", uop.seq, "span")
-        self.rename_unit.release([d for d in before if d not in uop.dests])
-        entry = self._lsq_entries.get(uop.seq)
-        if entry is not None:
-            entry.drop_tail()
+        tail_seq = self._unfuse(uop, "span")
         # The head itself still executes this cycle as a simple access.
+        self._lsq_entries[uop.seq].addr_known = True
         if uop.is_load:
             addr, size = uop.mem_span
             uop.complete_c = self.now + self.memory.access_latency(addr, size)
-            entry.addr_known = True
         else:
-            entry.addr_known = True
             uop.complete_c = self.now + 1
         return tail_seq
 
-    def _unfuse_inflight(self, uop: PipeUop) -> int:
-        """Unfuse a fused µ-op anywhere in flight; returns its tail seq.
+    def _unfuse(self, uop: PipeUop, reason: str) -> int:
+        """Break a fused µ-op back into its head nucleus; returns the
+        dropped tail's seq.
 
-        The deadlock watchdog uses this on µ-ops that are not currently
-        executing (the stalled ROB head).  The head nucleus keeps any
-        execution state it already has; the caller flushes from the
-        returned seq so the tail nucleus refetches as a plain µ-op.
+        The mechanics every repair shares (Section IV-C): the
+        prediction resolves as wrong, the tail's renamed registers and
+        LSQ half are freed, and the head stops waiting on its catalyst
+        — woken at once if it was parked on a catalyst producer.  The
+        head keeps any execution state it already has.  Each caller
+        keeps its own counters and, for a repair that refetches the
+        tail, flushes from the returned seq.
         """
-        self.stats.fusion_flushes += 1
-        self._flush_cause = "fusion"
         if uop.fp_prediction is not None and self.fp is not None:
             self.fp.resolve(uop.fp_prediction, correct=False)
             uop.fp_prediction = None
-        tail_seq = uop.tail.seq
         before = uop.dests
-        uop.unfuse("deadlock")
+        tail = uop.unfuse(reason)
         if self._ev is not None:
-            self._ev.emit(self.now, "unfuse", uop.seq, "deadlock")
-        self.rename_unit.release([d for d in before if d not in uop.dests])
+            self._ev.emit(self.now, "unfuse", uop.seq, reason)
+        if uop.rename_c:
+            self.rename_unit.release(
+                [d for d in before if d not in uop.dests])
         entry = self._lsq_entries.get(uop.seq)
         if entry is not None:
             entry.drop_tail()
-        # The head no longer waits on its catalyst: drop the extra
-        # producers and wake it if it was parked on one of them.
-        uop.extra_producers = []
+        uop.extra_producers = _NO_EDGES
         if uop.parked and uop.in_iq:
             uop.parked = False
             self._iq_parked.discard(uop)
             heapq.heappush(self._iq_sleep, (self.now + 1, uop.seq, uop))
-        return tail_seq
+        return tail.seq
 
     # ----------------------------------------------------------------- flush --
 
@@ -1580,30 +1550,11 @@ class PipelineCore:
                     break
                 if uop.tail is not None and uop.tail.seq >= seq \
                         and not uop.is_tail_ghost:
-                    before = uop.dests
-                    was_pending = uop.pending
-                    if uop.fp_prediction is not None and self.fp is not None:
-                        self.fp.resolve(uop.fp_prediction, correct=False)
-                        uop.fp_prediction = None
-                    uop.unfuse("flush")
-                    if self._ev is not None:
-                        self._ev.emit(self.now, "unfuse", uop.seq, "flush")
-                    uop.extra_producers = []
-                    if uop.parked and uop.in_iq:
-                        # It may be parked on a squashed catalyst
-                        # producer's wait list: re-arm it explicitly.
-                        uop.parked = False
-                        self._iq_parked.discard(uop)
-                        heapq.heappush(self._iq_sleep,
-                                       (self.now + 1, uop.seq, uop))
-                    if uop.rename_c:
-                        self.rename_unit.release(
-                            [d for d in before if d not in uop.dests])
-                    entry = self._lsq_entries.get(uop.seq)
-                    if entry is not None:
-                        entry.drop_tail()
-                    if was_pending:
+                    if uop.pending:
                         self.stats.fp_legality_unfusions += 1
+                    # It may be parked on a squashed catalyst producer's
+                    # wait list: _unfuse re-arms it.
+                    self._unfuse(uop, "flush")
 
     # ---------------------------------------------------------------- commit --
 
@@ -1628,6 +1579,7 @@ class PipelineCore:
         config = self.config
         now = self.now
         rob = self.rob
+        stats = self.stats
         if self.pending_interrupt:
             self._maybe_take_interrupt()
         # Deadlock watchdog: a fused ROB head is the only µ-op whose
@@ -1642,8 +1594,10 @@ class PipelineCore:
                 > DEADLOCK_WATCHDOG_CYCLES
                 and rob[0].tail is not None):
             self._last_commit_cycle = now
-            self.stats.deadlock_unfusions += 1
-            self._flush_from(self._unfuse_inflight(rob[0]))
+            stats.deadlock_unfusions += 1
+            stats.fusion_flushes += 1
+            self._flush_cause = "fusion"
+            self._flush_from(self._unfuse(rob[0], "deadlock"))
         # Record *why* the commit loop broke (for the top-down slot
         # accounting at end of cycle) so `_stall_slot_bucket` never has
         # to re-derive it with a second ROB scan.
@@ -1654,7 +1608,6 @@ class PipelineCore:
         rename_unit = self.rename_unit
         lsq_entries_pop = self._lsq_entries.pop
         account_commit = self._account_commit
-        stats = self.stats
         has_uch = self.uch_loads is not None
         while committed < commit_width and rob:
             uop = rob[0]

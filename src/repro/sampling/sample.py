@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.fusion.oracle import oracle_memory_pairs
 from repro.gcpause import paused_gc
 from repro.isa.trace import Trace
 from repro.pipeline.core import DRAIN_HORIZON, PipelineCore
@@ -120,25 +119,6 @@ def plan_intervals(total: int, windows: int,
     return SamplePlan(head_uops=period, windows=plans)
 
 
-def _census_pairs(trace: Trace, config: ProcessorConfig):
-    """Oracle pairs for the mode at hand — or a timing-neutral stub.
-
-    ORACLE mode *consumes* the pairing to drive fusion, so sub-traces
-    must compute their own.  HELIOS only uses oracle pairs for the
-    Table III coverage census (``predictive_pairs`` /
-    ``fp_covered_pairs``), which never feeds back into timing — the
-    sampler estimates CPI, not coverage, so it passes an empty pairing
-    and skips the oracle scan entirely.
-    """
-    if config.fusion_mode is FusionMode.ORACLE:
-        return oracle_memory_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    if config.fusion_mode is FusionMode.HELIOS:
-        return ()
-    return None
-
-
 def sampled_simulate(trace: Trace, config: ProcessorConfig,
                      windows: int = DEFAULT_WINDOWS,
                      name: Optional[str] = None,
@@ -152,10 +132,15 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
     label = name or trace.name
     mode = config.fusion_mode.value
     plan = plan_intervals(total, windows, detail, prefix)
+    # HELIOS reads the oracle pairing only for the Table III coverage
+    # census (``predictive_pairs`` / ``fp_covered_pairs``), which never
+    # feeds back into timing: the sampler estimates CPI, not coverage,
+    # so its Helios cores get an empty pairing and skip the scan.
+    # ORACLE consumes the pairing, so each core looks up its own.
+    no_census = () if config.fusion_mode is FusionMode.HELIOS else None
     if plan is None:
         # Tiny trace: full detail costs no more than the windows would.
-        core = PipelineCore(trace, config,
-                            oracle_pairs=_census_pairs(trace, config))
+        core = PipelineCore(trace, config, oracle_pairs=no_census)
         stats = core.run()
         cpi = (stats.cycles / stats.instructions
                if stats.instructions else 0.0)
@@ -186,7 +171,7 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
         head = plan.head_uops
         sub = trace.segment(0, min(total, head + DRAIN_HORIZON))
         core = PipelineCore(sub, config,
-                            oracle_pairs=_census_pairs(sub, config),
+                            oracle_pairs=no_census,
                             warm_state=warmer.state())
         core.run(until_instructions=head)
         head_cycles = core.stats.cycles
@@ -203,7 +188,7 @@ def sampled_simulate(trace: Trace, config: ProcessorConfig,
                 warmer.warm(uops[cursor:w.detail_start])
             sub = trace.segment(w.detail_start, w.sub_stop)
             core = PipelineCore(sub, config,
-                                oracle_pairs=_census_pairs(sub, config),
+                                oracle_pairs=no_census,
                                 warm_state=warmer.state())
             pre = w.measure_start - w.detail_start
             core.run(until_instructions=pre)

@@ -54,8 +54,6 @@ class WarmState:
     fp: Optional[object] = None
     uch_loads: Optional[UnfusedCommittedHistory] = None
     uch_stores: Optional[UnfusedCommittedHistory] = None
-    uch_load_queue: Optional[object] = None
-    uch_store_queue: Optional[object] = None
     commit_counter: int = 0
 
 

@@ -40,6 +40,7 @@ from repro.isa.trace import Trace
 from repro.isa.trace_io import (
     TRACE_BINARY_VERSION,
     load_trace_binary,
+    read_trace_header,
     save_trace_binary,
 )
 from repro.workloads.catalog import CATALOG
@@ -121,8 +122,9 @@ class TraceStore(fsutil.DiskStore):
     def decode(self, handle) -> Trace:
         return load_trace_binary(handle)
 
-    def describe(self, value) -> str:
-        return "%s %d µ-ops" % (value.name, len(value))
+    def describe(self, handle) -> str:
+        name, _insts, num_uops, _len, _crc = read_trace_header(handle)
+        return "%s %d µ-ops" % (name, num_uops)
 
 
 #: In-process trace memo, keyed by ``(name, max_uops, salt)``.

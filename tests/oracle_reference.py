@@ -5,7 +5,7 @@ as :func:`oracle_memory_pairs_reference`, visiting only the candidates
 that can pair and walking the catalyst only as far as it must.  This
 readable, helper-factored version walks every µ-op of every window and
 is the test oracle the fast scan must match byte for byte (pairs, order
-and rejection census) on every catalog workload and flag shape.  When
+and rejection census) on every catalog workload and every flag.  When
 the pairing rules change, edit this function first, then mirror the
 change in the fast scan.
 
@@ -20,13 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.legality import Reason
 from repro.fusion.idioms import match_idiom
 from repro.fusion.oracle import _note, _reads_any
-from repro.fusion.taxonomy import (
-    Contiguity,
-    FusedPair,
-    classify_contiguity,
-    make_memory_pair,
-    span,
-)
+from repro.fusion.taxonomy import FusedPair, make_memory_pair, span
 from repro.isa.trace import MicroOp
 
 
@@ -44,9 +38,7 @@ def _eligible_pair(head: MicroOp, tail: MicroOp, tainted: set,
                    tainted_mem: Optional[List[Tuple[int, int]]],
                    load_overlap: bool,
                    fused: List[bool], granularity: int,
-                   require_same_base: bool, require_contiguous: bool,
-                   allow_asymmetric: bool,
-                   stores_sbr_only: bool) -> Optional[Reason]:
+                   require_same_base: bool) -> Optional[Reason]:
     """:data:`Reason.LEGAL` when the pair may fuse, the first applicable
     rejection :class:`Reason` otherwise; ``None`` for µ-ops that are not
     same-kind memory candidates at all (not worth a census entry)."""
@@ -54,18 +46,13 @@ def _eligible_pair(head: MicroOp, tail: MicroOp, tainted: set,
         return None
     if fused[tail.seq]:
         return Reason.ALREADY_FUSED
-    if not allow_asymmetric and head.size != tail.size:
-        return Reason.ASYMMETRIC_SIZE
     same_base = head.base_reg == tail.base_reg
     if require_same_base and not same_base:
         return Reason.BASE_MISMATCH
-    if head.is_store and stores_sbr_only and not same_base:
+    if head.is_store and not same_base:
         return Reason.DBR_STORE
     if span(head.addr, head.size, tail.addr, tail.size) > granularity:
         return Reason.SPAN
-    if require_contiguous and classify_contiguity(
-            head, tail, granularity) is not Contiguity.CONTIGUOUS:
-        return Reason.NON_CONTIGUOUS
     # Deadlock: the tail must not (transitively) consume the head's
     # result — through registers or through memory (a tail load
     # forwarding from a catalyst store of a tainted value).
@@ -93,9 +80,6 @@ def oracle_memory_pairs_reference(trace: Sequence[MicroOp],
                                   max_distance: int = 64,
                                   consecutive_only: bool = False,
                                   require_same_base: bool = False,
-                                  require_contiguous: bool = False,
-                                  allow_asymmetric: bool = True,
-                                  stores_sbr_only: bool = True,
                                   reason_counts: Optional[Dict[Reason, int]] = None,
                                   ) -> List[FusedPair]:
     """Reference greedy oldest-first oracle pairing of memory µ-ops.
@@ -126,8 +110,7 @@ def oracle_memory_pairs_reference(trace: Sequence[MicroOp],
                 break  # cannot fuse across a fence / system op
             reason = _eligible_pair(head, tail, tainted, tainted_mem,
                                     load_overlap, fused, granularity,
-                                    require_same_base, require_contiguous,
-                                    allow_asymmetric, stores_sbr_only)
+                                    require_same_base)
             if reason is Reason.LEGAL:
                 fused[head.seq] = True
                 fused[tail.seq] = True

@@ -1,5 +1,7 @@
 """Differential checker: oracle/pipeline/interpreter cross-validation."""
 
+import pytest
+
 from repro.analysis.differential import (
     _compare_streams,
     analyze_trace,
@@ -9,7 +11,9 @@ from repro.analysis.differential import (
 from repro.analysis.legality import LegalityAnalyzer, analyze_trace_legality
 from repro.config import FusionMode, ProcessorConfig
 from repro.isa import assemble, run_program
+from repro.isa.interp import Interpreter
 from repro.isa.trace import Trace
+from tests import test_pipeline_deadlocks as deadlocks
 
 
 def trace_of(source):
@@ -102,3 +106,51 @@ def test_analyze_trace_runs_one_oracle_scan(monkeypatch):
     assert report.ok
     assert report.oracle_pairs == 2
     assert report.oracle_census == {}
+
+
+# A Helios span misprediction (repair case 5): the two loads are 128
+# bytes apart, more than one access-granularity region.
+SPAN_MISPREDICTION = """
+    li x1, 0x20000
+    ld x4, 0(x1)
+    addi x9, x9, 1
+    ld x5, 128(x1)
+    ecall
+"""
+
+
+@pytest.mark.parametrize("source,kind,nth,repair", [
+    (SPAN_MISPREDICTION, "load", (0, 1), "span"),
+    (deadlocks.SHAPE_A, "store", (0, 1), "deadlock"),
+    (deadlocks.SHAPE_B, "store", (0, 1), "deadlock"),
+    (deadlocks.SHAPE_C_REG, "load", (0, 1), None),
+    (deadlocks.SHAPE_C_MEM, "load", (0, 2), "deadlock"),
+], ids=["case5-span", "shape-a", "shape-b", "shape-c-reg", "shape-c-mem"])
+def test_forced_helios_repairs_keep_committed_state_exact(
+        monkeypatch, source, kind, nth, repair):
+    """Every repair a forced fusion predictor can drive Helios into
+    leaves the committed state bit-exact against the interpreter.
+
+    Shape C-reg is unfused at rename, which the mode check does not
+    count, so that case asserts a clean run only.
+    """
+    program = assemble(source)
+    interp = Interpreter(program, record_stores=True)
+    trace = interp.run()
+    seqs = [uop.seq for uop in trace
+            if (uop.is_load if kind == "load" else uop.is_store)]
+    head, tail = seqs[nth[0]], seqs[nth[1]]
+    monkeypatch.setattr(
+        "repro.pipeline.core.make_fusion_predictor",
+        lambda _config: deadlocks.ForcedFP(
+            {trace.uops[tail].pc: tail - head}))
+    report = analyze_trace(
+        trace, modes=[FusionMode.HELIOS],
+        store_values=interp.store_values, program=program,
+        expected_memory=interp.memory.snapshot())
+    (check,) = report.checks
+    assert check.ok, [str(d) for d in check.divergences]
+    if repair is not None:
+        assert check.fusion_flushes >= 1
+    if repair == "deadlock":
+        assert check.deadlock_unfusions >= 1

@@ -102,10 +102,12 @@ def test_workload_lists_accept_all(monkeypatch, capsys):
     assert seen == workload_names()
 
 
-def test_simulate_fp_kind_requires_helios_mode():
+@pytest.mark.parametrize("command", ["simulate", "debug", "profile"])
+def test_fp_kind_requires_helios_mode(command):
+    # debug and profile used to run NoFusion and ignore --fp-kind.
     with pytest.raises(SystemExit, match="no effect with --mode NoFusion"):
-        main(["simulate", "bitcount", "--mode", "NoFusion",
-              "--fp-kind", "tage"])
+        main([command, "crc32", "--mode", "NoFusion", "--fp-kind", "tage",
+              "--max-uops", "2000"])
 
 
 def test_experiment_fp_kind_threads_config(capsys, tmp_path):

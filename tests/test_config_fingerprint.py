@@ -44,7 +44,6 @@ TIMING_FIELD_SAMPLES = {
     "dram_latency": 120,
     "line_crossing_penalty": 2,
     "branch_mispredict_penalty": 14,
-    "pipeline_depth_to_execute": 9,
     "fusion_mode": FusionMode.HELIOS,
     "cache_access_granularity": 32,
     "max_fusion_distance": 32,

@@ -132,8 +132,7 @@ def test_load_pair_rejects_same_destination():
 
 def test_load_pair_asymmetric_sizes():
     head, tail = insts("ld x4, 0(x1)\nlw x5, 8(x1)")
-    assert match_memory_pair(head, tail, allow_asymmetric=True) == "load_pair"
-    assert match_memory_pair(head, tail, allow_asymmetric=False) is None
+    assert match_memory_pair(head, tail) == "load_pair"
 
 
 def test_asymmetric_adjacency_uses_head_size():

@@ -5,7 +5,8 @@ import gc
 import pytest
 from hypothesis import given, settings
 
-from repro.config import FusionMode
+from repro.analysis.legality import Reason
+from repro.config import FusionMode, ProcessorConfig
 from repro.fusion import (
     analyze_trace,
     consecutive_memory_pairs,
@@ -15,6 +16,8 @@ from repro.fusion import (
 from repro.fusion.taxonomy import BaseRegKind, Contiguity
 from repro.fusion.window import ConsecutiveFusionWindow
 from repro.isa import assemble, run_program
+from repro.obs import CommitLog
+from repro.pipeline.core import PipelineCore
 from tests.test_pipeline_properties import stressful_programs
 
 
@@ -179,8 +182,9 @@ def test_dbr_store_pair_rejected_by_default():
         sd x0, 0(x2)
         ecall
     """)
-    assert oracle_memory_pairs(trace, stores_sbr_only=True) == []
-    assert len(oracle_memory_pairs(trace, stores_sbr_only=False)) == 1
+    census = {}
+    assert oracle_memory_pairs(trace, reason_counts=census) == []
+    assert census[Reason.DBR_STORE] == 1
 
 
 def test_each_uop_fuses_once():
@@ -270,6 +274,14 @@ def test_analyze_trace_aggregates():
 
 # ---- consecutive fusion window ----------------------------------------------
 
+def adjacent_kinds(window, trace):
+    """``match_kind`` of every adjacent pair that fuses, in order."""
+    uops = list(trace)
+    kinds = [window.match_kind(head, tail)
+             for head, tail in zip(uops, uops[1:])]
+    return [kind for kind in kinds if kind is not None]
+
+
 def test_window_finds_adjacent_pairs():
     trace = trace_of("""
         li x1, 0x20000
@@ -279,9 +291,8 @@ def test_window_finds_adjacent_pairs():
         addiw x6, x6, 3
         ecall
     """)
-    window = ConsecutiveFusionWindow()
-    pairs = window.find_pairs(list(trace))
-    assert {p.idiom for p in pairs} == {"load_pair", "lui_addi"}
+    assert adjacent_kinds(ConsecutiveFusionWindow(), trace) \
+        == [("load_pair", True), ("lui_addi", False)]
 
 
 def test_analyze_trace_is_memoised_per_trace_and_parameters():
@@ -313,7 +324,7 @@ def test_window_memory_only():
         ecall
     """)
     window = ConsecutiveFusionWindow(fuse_others=False)
-    assert [p.idiom for p in window.find_pairs(list(trace))] == ["load_pair"]
+    assert adjacent_kinds(window, trace) == [("load_pair", True)]
 
 
 def test_window_others_only():
@@ -326,7 +337,7 @@ def test_window_others_only():
         ecall
     """)
     window = ConsecutiveFusionWindow(fuse_memory=False)
-    assert [p.idiom for p in window.find_pairs(list(trace))] == ["lui_addi"]
+    assert adjacent_kinds(window, trace) == [("lui_addi", False)]
 
 
 def test_window_for_mode():
@@ -347,8 +358,12 @@ def test_window_greedy_no_overlap():
         ld x6, 16(x1)
         ecall
     """)
-    pairs = ConsecutiveFusionWindow().find_pairs(list(trace))
-    assert len(pairs) == 1  # greedy: (ld0, ld1); ld2 left unfused
+    # Decode pairs greedily: (ld0, ld1) fuse; ld2 is left unfused.
+    clog = CommitLog()
+    config = ProcessorConfig().with_mode(FusionMode.CSF_SBR)
+    PipelineCore(trace, config, commit_log=clog).run()
+    loads = [uop.seq for uop in trace if uop.is_load]
+    assert clog.fused_pairs() == [(loads[0], loads[1], "csf")]
 
 
 # ---------------------------------------------- fast scan == reference --
@@ -356,18 +371,17 @@ def test_window_greedy_no_overlap():
 # The shipping oracle scan is a flattened, taint-bookkeeping
 # reformulation of ``tests/oracle_reference.py``; the contract is
 # byte-identical output (pairs, in order, with identical census
-# accounting) for every catalog trace and every flag shape.
+# accounting) for every catalog trace and every flag: the unrestricted
+# pairing, Figure 4's consecutive same-base census, each of its two
+# flags alone, and the two configuration knobs.
 
 _FLAG_SHAPES = [
     {},
+    {"consecutive_only": True, "require_same_base": True},
     {"consecutive_only": True},
     {"require_same_base": True},
-    {"require_contiguous": True},
-    {"allow_asymmetric": False},
-    {"stores_sbr_only": False},
     {"max_distance": 4},
-    {"granularity": 16, "require_same_base": True,
-     "require_contiguous": True, "allow_asymmetric": False},
+    {"granularity": 16, "require_same_base": True},
 ]
 
 

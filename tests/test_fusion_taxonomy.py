@@ -11,8 +11,7 @@ from repro.fusion.taxonomy import (
     Contiguity,
     FusedPair,
     classify_base,
-    classify_contiguity,
-    fuseable_span,
+    classify_contiguity_at,
     make_memory_pair,
     span,
 )
@@ -61,48 +60,49 @@ def test_span_basic():
 
 def test_contiguous_classification():
     head, tail = pair_at(0x20000, 0, 8, 8, 8)
-    assert classify_contiguity(head, tail) is Contiguity.CONTIGUOUS
+    assert make_memory_pair(head, tail).contiguity is Contiguity.CONTIGUOUS
 
 
 def test_contiguous_reversed_order():
     # head accesses the higher address: still contiguous.
     head, tail = pair_at(0x20000, 8, 8, 0, 8)
-    assert classify_contiguity(head, tail) is Contiguity.CONTIGUOUS
+    assert make_memory_pair(head, tail).contiguity is Contiguity.CONTIGUOUS
 
 
 def test_overlapping_classification():
     head, tail = pair_at(0x20000, 0, 8, 4, 8)
-    assert classify_contiguity(head, tail) is Contiguity.OVERLAPPING
+    assert make_memory_pair(head, tail).contiguity is Contiguity.OVERLAPPING
 
 
 def test_identical_addresses_overlap():
     head, tail = pair_at(0x20000, 0, 8, 0, 8)
-    assert classify_contiguity(head, tail) is Contiguity.OVERLAPPING
+    assert make_memory_pair(head, tail).contiguity is Contiguity.OVERLAPPING
 
 
 def test_same_line_with_gap():
     head, tail = pair_at(0x20000, 0, 8, 48, 8)
-    assert classify_contiguity(head, tail) is Contiguity.SAME_LINE
+    assert make_memory_pair(head, tail).contiguity is Contiguity.SAME_LINE
 
 
 def test_next_line_crosser():
     # 8 bytes at line end + 8 bytes at next line start, with a gap
     # within a 64B span: crosses the frame boundary.
     head, tail = pair_at(0x20000, 56, 8, 72, 8)
-    assert classify_contiguity(head, tail) is Contiguity.NEXT_LINE
+    assert make_memory_pair(head, tail).contiguity is Contiguity.NEXT_LINE
 
 
 def test_too_far():
     head, tail = pair_at(0x20000, 0, 8, 128, 8)
-    assert classify_contiguity(head, tail) is Contiguity.TOO_FAR
-    assert not fuseable_span(head, tail)
+    assert make_memory_pair(head, tail).contiguity is Contiguity.TOO_FAR
+    assert not make_memory_pair(head, tail).contiguity.fuseable
 
 
 def test_span_exactly_at_granularity_is_fuseable():
     head, tail = pair_at(0x20000, 0, 8, 56, 8)  # span == 64
-    assert fuseable_span(head, tail, granularity=64)
+    assert make_memory_pair(head, tail, granularity=64).contiguity.fuseable
     head, tail = pair_at(0x20000, 0, 8, 57, 8)  # span == 65
-    assert not fuseable_span(head, tail, granularity=64)
+    assert not make_memory_pair(head, tail,
+                                granularity=64).contiguity.fuseable
 
 
 def test_base_register_classification():
@@ -154,14 +154,9 @@ def test_span_symmetry_property(addr, size_a, delta, size_b):
 def test_classification_consistent_with_span(base, size_a, delta, size_b):
     """TOO_FAR exactly when the span exceeds the granularity."""
 
-    class FakeUop:
-        def __init__(self, addr, size):
-            self.addr, self.size = addr, size
-            self.end_addr = addr + size
-
-    head, tail = FakeUop(base, size_a), FakeUop(base + delta, size_b)
-    category = classify_contiguity(head, tail, granularity=64)
-    exceeds = span(head.addr, size_a, tail.addr, size_b) > 64
+    category = classify_contiguity_at(base, size_a, base + delta, size_b,
+                                      granularity=64)
+    exceeds = span(base, size_a, base + delta, size_b) > 64
     assert (category is Contiguity.TOO_FAR) == exceeds
 
 

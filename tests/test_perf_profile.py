@@ -32,15 +32,12 @@ def test_profile_run_headline(payload):
 def test_profile_cycles_match_unprofiled_run(payload):
     # The profiler may slow the host, never the simulated machine.
     from repro.config import ProcessorConfig
-    from repro.core.simulator import _shared_oracle_pairs
     from repro.pipeline.core import PipelineCore
     from repro.workloads import build_workload
 
     trace = build_workload("bitcount", max_uops=8000)
     config = ProcessorConfig().with_mode(FusionMode.HELIOS)
-    core = PipelineCore(trace, config,
-                        oracle_pairs=_shared_oracle_pairs(trace, config))
-    assert core.run().cycles == payload["cycles"]
+    assert PipelineCore(trace, config).run().cycles == payload["cycles"]
 
 
 def test_profile_stage_attribution_partitions_time(payload):

@@ -187,11 +187,8 @@ def test_same_dest_load_pair_never_fuses():
                                     SHAPE_C_REG, SHAPE_C_MEM])
 def test_oracle_mode_never_needs_repairs(source):
     trace = trace_of(source)
-    from repro.fusion.oracle import oracle_memory_pairs
-    pairs = oracle_memory_pairs(trace)
     config = ProcessorConfig(fusion_mode=FusionMode.ORACLE)
-    core = PipelineCore(trace, config, oracle_pairs=pairs,
-                        sanitizer=Sanitizer())
+    core = PipelineCore(trace, config, sanitizer=Sanitizer())
     stats = core.run()
     assert stats.instructions == len(trace)
     assert stats.deadlock_unfusions == 0

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.fusion.oracle import oracle_memory_pairs
 from repro.pipeline.core import DRAIN_HORIZON, PipelineCore
 from repro.sampling import (
     build_scaled_workload,
@@ -33,16 +32,8 @@ def _helios():
     return ProcessorConfig().with_mode(FusionMode.HELIOS)
 
 
-def _pairs(trace, config):
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        return oracle_memory_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    return None
-
-
 def _straight_stats(trace, config):
-    core = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
+    core = PipelineCore(trace, config)
     return core.run().to_dict()
 
 
@@ -85,7 +76,7 @@ def test_resumed_run_matches_straight_run(mode):
     trace = build_workload("dijkstra")
     straight = _straight_stats(trace, config)
 
-    core = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
+    core = PipelineCore(trace, config)
     for stop in (1_000, 7_000, 15_000):
         core.run(until_instructions=stop)
         assert core.stats.instructions >= stop
@@ -104,7 +95,7 @@ def test_resumed_run_matches_straight_run_any_split(stop):
     config = _helios()
     trace = build_workload("dijkstra")
     straight = _straight_stats(trace, config)
-    core = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
+    core = PipelineCore(trace, config)
     mid = core.run(until_instructions=stop)
     assert mid.instructions >= min(stop, len(trace))
     assert mid.cycles <= straight["cycles"]
@@ -125,11 +116,11 @@ def test_truncated_trace_runs_like_full_trace_to_stop(name, mode, third):
     config = ProcessorConfig().with_mode(mode)
     trace = build_workload(name)
     stop = third * len(trace) // 3
-    full = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
+    full = PipelineCore(trace, config)
     full.run(until_instructions=stop)
     cut = trace.segment(0, stop + DRAIN_HORIZON)
     assert len(cut) < len(trace)
-    short = PipelineCore(cut, config, oracle_pairs=_pairs(cut, config))
+    short = PipelineCore(cut, config)
     short.run(until_instructions=stop)
     assert short.stats.to_dict() == full.stats.to_dict()
 
@@ -152,7 +143,7 @@ _EST_TARGET = 120_000
 def test_sampled_ipc_error_within_reported_bound(name):
     config = _helios()
     trace = build_scaled_workload(name, _EST_TARGET)
-    core = PipelineCore(trace, config, oracle_pairs=_pairs(trace, config))
+    core = PipelineCore(trace, config)
     full = core.run()
     assert full.instructions == len(trace)
 

@@ -121,6 +121,22 @@ def test_corrupted_entry_rebuilds_cold(store_dir):
         == uop_fields(first)
 
 
+def test_listing_reads_only_entry_headers(store_dir, monkeypatch):
+    build_workload(WORKLOAD, max_uops=500)
+    (path,) = store_dir.glob("*.trc")
+    (store_dir / ("bad" + TraceStore.suffix)).write_bytes(b"RPTB\x01")
+
+    def no_decode(_source):
+        raise AssertionError("listing decoded a whole trace")
+
+    monkeypatch.setattr(trace_store_mod, "load_trace_binary", no_decode)
+    assert TraceStore().entries() == [
+        {"file": "bad.trc", "bytes": 5, "what": "corrupt"},
+        {"file": path.name, "bytes": path.stat().st_size,
+         "what": "%s 500 µ-ops" % WORKLOAD},
+    ]
+
+
 def test_truncated_entry_rebuilds_cold(store_dir):
     build_workload(WORKLOAD, max_uops=500)
     clear_trace_memo()
