@@ -53,9 +53,6 @@ def main():
     print("  confidence reset ->",
           "no prediction" if fp.predict(TAIL_PC, ghr=0) is None
           else "still predicting?!")
-    print("  stats: %d trainings, %d predictions, %d mispredictions"
-          % (fp.stats.trainings, fp.stats.predictions,
-             fp.stats.mispredictions))
 
 
 if __name__ == "__main__":

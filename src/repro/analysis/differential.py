@@ -51,7 +51,7 @@ from repro.fusion.oracle import cached_oracle_pairs, oracle_rejection_census
 from repro.isa.interp import Interpreter, Memory
 from repro.isa.trace import Trace
 from repro.obs import CommitLog
-from repro.pipeline.core import PipelineCore
+from repro.pipeline.core import CoreStats, PipelineCore
 
 __all__ = [
     "AnalysisReport",
@@ -92,12 +92,11 @@ class ModeCheck:
     """Differential results for one fusion mode."""
 
     mode: str
-    cycles: int = 0
-    ipc: float = 0.0
+    #: The run's counters.  A run the sanitizer or the cycle limit
+    #: stopped reports the cycle it stopped at.
+    stats: CoreStats = field(default_factory=CoreStats)
     committed_pairs: int = 0
     uch_discoveries: int = 0
-    deadlock_unfusions: int = 0
-    fusion_flushes: int = 0
     sanitizer_checks: int = 0
     divergences: list[Divergence] = field(default_factory=list)
 
@@ -150,9 +149,9 @@ class AnalysisReport:
             lines.append(
                 "%-14s %8d cycles  ipc %.3f  %5d fused pairs  "
                 "%d uch  %d repairs  %d sanitizer checks  -> %s"
-                % (check.mode, check.cycles, check.ipc,
+                % (check.mode, check.stats.cycles, check.stats.ipc,
                    check.committed_pairs, check.uch_discoveries,
-                   check.fusion_flushes, check.sanitizer_checks,
+                   check.stats.fusion_flushes, check.sanitizer_checks,
                    "ok" if check.ok else
                    "%d DIVERGENCES" % len(check.divergences)))
         for divergence in self.divergences:
@@ -172,12 +171,9 @@ class AnalysisReport:
                               in self.oracle_census.items()},
             "modes": [{
                 "mode": check.mode,
-                "cycles": check.cycles,
-                "ipc": check.ipc,
+                "stats": check.stats.to_dict(),
                 "committed_pairs": check.committed_pairs,
                 "uch_discoveries": check.uch_discoveries,
-                "deadlock_unfusions": check.deadlock_unfusions,
-                "fusion_flushes": check.fusion_flushes,
                 "sanitizer_checks": check.sanitizer_checks,
                 "divergences": [str(d) for d in check.divergences],
             } for check in self.checks],
@@ -233,18 +229,15 @@ def check_pipeline(trace: Trace, config: ProcessorConfig,
     core = PipelineCore(trace, config, commit_log=clog, sanitizer=sanitizer)
     completed = False
     try:
-        stats = core.run()
+        core.run()
         completed = True
     except SanitizerError as exc:
         check.divergences.append(Divergence("sanitizer", str(exc)))
-        stats = core.stats
     except RuntimeError as exc:
         check.divergences.append(Divergence("hang", str(exc)))
-        stats = core.stats
-    check.cycles = core.now
-    check.ipc = stats.instructions / core.now if core.now else 0.0
-    check.deadlock_unfusions = stats.deadlock_unfusions
-    check.fusion_flushes = stats.fusion_flushes
+    check.stats = core.stats
+    # ``run`` publishes the cycle count only when it returns.
+    check.stats.cycles = core.now
     if sanitizer is not None:
         check.sanitizer_checks = sanitizer.checks_run
     check.uch_discoveries = len(clog.uch_pairs)

@@ -62,20 +62,14 @@ class Sanitizer(object):
     from ``repro.pipeline``.
     """
 
-    def __init__(self, every: int = 1):
-        #: Check every N cycles (1 = every cycle; raise to trade
-        #: coverage for speed on very long traces).
-        self.every = max(1, every)
+    def __init__(self):
+        #: Cycles checked so far (the differential report prints it).
         self.checks_run = 0
-        self.cycles_seen = 0
 
     # -- per-cycle -----------------------------------------------------
 
     def check(self, core) -> None:
         """Run every invariant; raises :class:`SanitizerError`."""
-        self.cycles_seen += 1
-        if self.cycles_seen % self.every:
-            return
         self.checks_run += 1
         violations = self._rob_violations(core)
         live = list(core.rename_latch) + list(core.rob)

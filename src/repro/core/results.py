@@ -219,7 +219,7 @@ class SimResult:
             stats=CoreStats.from_dict(data["stats"]),
             total_memory_uops=data["total_memory_uops"],
             eligible_predictive_pairs=data["eligible_predictive_pairs"],
-            commit_width=data.get("commit_width", 8),
+            commit_width=data["commit_width"],
         )
 
     def summary(self) -> str:

@@ -7,20 +7,9 @@ move-to-front and a miss is an insert-at-front with LRU pop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.config import CacheConfig
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
 
 class Cache:
@@ -35,19 +24,16 @@ class Cache:
         self._set_mask = config.num_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
         self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
-        self.stats = CacheStats()
 
     def lookup(self, addr: int) -> bool:
         """Access one line; returns hit and updates recency/contents."""
         line = addr >> self._line_shift
         ways = self._sets[line & self._set_mask]
         if line in ways:
-            self.stats.hits += 1
             if ways[0] != line:
                 ways.remove(line)
                 ways.insert(0, line)
             return True
-        self.stats.misses += 1
         ways.insert(0, line)
         if len(ways) > self.config.associativity:
             ways.pop()
@@ -57,7 +43,3 @@ class Cache:
         """Check residency without updating recency or contents."""
         line = addr >> self._line_shift
         return line in self._sets[line & self._set_mask]
-
-    def invalidate_all(self) -> None:
-        for ways in self._sets:
-            ways.clear()

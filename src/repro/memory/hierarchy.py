@@ -1,4 +1,4 @@
-"""Three-level cache hierarchy with line-crossing accounting.
+"""Three-level cache hierarchy with line-crossing latency.
 
 The data cache circuit reads a full access-granularity region (64 B)
 per access — this is the property Section III-C leans on to fuse
@@ -27,7 +27,6 @@ class MemoryHierarchy:
         self.dtlb = TLB()
         self.dram_latency = config.dram_latency
         self.line_bytes = config.l1d.line_bytes
-        self.line_crossings = 0
 
     def _line_latency(self, addr: int) -> int:
         """Latency of one line probe through L1D, L2, L3 and DRAM."""
@@ -45,9 +44,9 @@ class MemoryHierarchy:
 
         ``size`` may cover a fused pair's whole span.  Accesses that
         cross a line boundary perform two serialized line accesses plus
-        the crossing penalty, and count in ``line_crossings``.  This is
-        the only access path: the sampling warmer calls it too and
-        discards the latency, so warmed and timed state evolve alike.
+        the crossing penalty.  This is the only access path: the
+        sampling warmer calls it too and discards the latency, so
+        warmed and timed state evolve alike.
         """
         tlb_penalty = self.dtlb.access(addr)
         line_bytes = self.line_bytes
@@ -55,7 +54,6 @@ class MemoryHierarchy:
         last_line = (addr + max(size, 1) - 1) // line_bytes
         latency = self._line_latency(addr)
         if last_line != first_line:
-            self.line_crossings += 1
             second_latency = self._line_latency(last_line * line_bytes)
             if second_latency > latency:
                 latency = second_latency

@@ -14,20 +14,16 @@ class TLB:
         self.page_shift = page_bytes.bit_length() - 1
         self.miss_penalty = miss_penalty
         self._pages: List[int] = []  # MRU order
-        self.hits = 0
-        self.misses = 0
 
     def access(self, addr: int) -> int:
         """Translate; returns the added latency (0 on hit)."""
         page = addr >> self.page_shift
         pages = self._pages
         if page in pages:
-            self.hits += 1
             if pages[0] != page:
                 pages.remove(page)
                 pages.insert(0, page)
             return 0
-        self.misses += 1
         pages.insert(0, page)
         if len(pages) > self.capacity:
             pages.pop()

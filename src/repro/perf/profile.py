@@ -42,13 +42,12 @@ _CORE_STAGES = {
     "_decode": "decode", "_admit": "decode", "_admit_single": "decode",
     "_try_helios_fusion": "decode", "_try_oracle_fusion": "decode",
     "_find_aq_head": "decode", "_replay_cached_group": "decode",
-    "_rename": "rename", "_unfuse_pending": "rename",
-    "_dispatch": "dispatch",
+    "_rename": "rename", "_dispatch": "dispatch",
     "_issue": "issue", "_wake_waiters": "issue",
     "_execute_load": "issue", "_execute_store": "issue",
     "_access_fused_pair": "issue", "_check_fused_span": "issue",
     "_fusion_mispredict": "flush", "_flush_from": "flush",
-    "_unfuse_inflight": "flush",
+    "_unfuse": "flush",
     "_commit": "commit", "_account_commit": "commit",
     "_commit_group_ready": "commit", "_maybe_take_interrupt": "commit",
     "_schedule_drain": "commit", "_drain_stores": "commit",

@@ -177,8 +177,9 @@ class CoreStats:
     order_violation_flushes: int = 0
     fusion_flushes: int = 0
     #: Fused pairs broken because waiting would have deadlocked on the
-    #: pair's own catalyst (LSQ-detected store-pair shapes plus the
-    #: commit watchdog's memory-carried dependence cycles).
+    #: pair's own catalyst (LSQ-detected store-pair shapes, a head load
+    #: waiting on a store in its own catalyst, plus the commit
+    #: watchdog's memory-carried dependence cycles).
     deadlock_unfusions: int = 0
     #: Top-down commit-slot attribution (bucket name -> slot count, see
     #: TOPDOWN_BUCKETS).  Every run fills it; empty only on a
@@ -201,14 +202,14 @@ class CoreStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "CoreStats":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are ignored so a cache-schema bump (which adds
-        counters) does not have to invalidate otherwise-readable
-        entries; missing counters keep their dataclass defaults.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Inverse of :meth:`to_dict`; raises ``ValueError`` unless
+        ``data`` holds exactly this class's counters, so a cache entry
+        written before a counter changed reads as corrupt."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        if set(data) != names:
+            raise ValueError("counters differ from CoreStats: %s"
+                             % sorted(set(data) ^ names))
+        return cls(**data)
 
 
 class PipelineCore:
@@ -1302,7 +1303,7 @@ class PipelineCore:
     def _execute_load(self, uop: PipeUop):
         if uop.fusion is FusionKind.NCSF and uop.tail is not None \
                 and not self._check_fused_span(uop):
-            return self._fusion_mispredict(uop)
+            return self._fusion_mispredict(uop, "span")
         entry = self._lsq_entries[uop.seq]
         if self.lsu.sq:
             load_pc = uop.pc
@@ -1318,9 +1319,9 @@ class PipelineCore:
             # The blocking store is in this fused pair's *catalyst*.  Its
             # drain waits on our commit, and its data or address may
             # even depend on our result, so waiting can deadlock.
-            # Unfuse and flush from the tail nucleus (the same repair
-            # path as an address misprediction).
-            return self._fusion_mispredict(uop)
+            # Unfuse and flush from the tail nucleus (case 5's repair
+            # path, counted as a deadlock).
+            return self._fusion_mispredict(uop, "deadlock")
         if store is not None and len(store.subs) == 2 \
                 and store.subs[1].seq > uop.seq:
             # The blocking store is a fused *pair* whose tail nucleus is
@@ -1392,7 +1393,7 @@ class PipelineCore:
     def _execute_store(self, uop: PipeUop):
         if uop.fusion is FusionKind.NCSF and uop.tail is not None \
                 and not self._check_fused_span(uop):
-            return self._fusion_mispredict(uop)
+            return self._fusion_mispredict(uop, "span")
         entry = self._lsq_entries[uop.seq]
         entry.addr_known = True
         uop.complete_c = self.now + 1  # AGU + data capture
@@ -1405,12 +1406,17 @@ class PipelineCore:
             return oldest.uop.seq
         return "ok"
 
-    def _fusion_mispredict(self, uop: PipeUop):
-        """Case 5 repair: unfuse, flush from the tail nucleus, refetch."""
-        self.stats.fp_address_mispredictions += 1
+    def _fusion_mispredict(self, uop: PipeUop, reason: str):
+        """Unfuse, flush from the tail nucleus, refetch: case 5 when
+        ``reason`` is ``"span"``, else a head load waiting on a store
+        in its own catalyst (``"deadlock"``)."""
+        if reason == "span":
+            self.stats.fp_address_mispredictions += 1
+        else:
+            self.stats.deadlock_unfusions += 1
         self.stats.fusion_flushes += 1
         self._flush_cause = "fusion"
-        tail_seq = self._unfuse(uop, "span")
+        tail_seq = self._unfuse(uop, reason)
         # The head itself still executes this cycle as a simple access.
         self._lsq_entries[uop.seq].addr_known = True
         if uop.is_load:

@@ -21,24 +21,11 @@ actual values live in the functional trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import ProcessorConfig
 from repro.isa.registers import FP_REG_BASE
 from repro.pipeline.uop import FusionKind, PipeUop
-
-
-@dataclass
-class RenameStats:
-    renamed_uops: int = 0
-    ncsf_heads: int = 0
-    ncsf_validated: int = 0
-    raw_corrections: int = 0
-    unfused_deadlock: int = 0
-    unfused_serializing: int = 0
-    unfused_storepair: int = 0
-    unfused_nesting: int = 0
 
 
 class RenameUnit:
@@ -63,7 +50,6 @@ class RenameUnit:
         self.deadlock_tags: Dict[int, int] = {}
         self.ncsf_serializing = False
         self.ncsf_storepair = False
-        self.stats = RenameStats()
 
     # -- physical register accounting -----------------------------------------
 
@@ -135,7 +121,6 @@ class RenameUnit:
 
     def rename(self, uop: PipeUop) -> None:
         """Rename one non-ghost µ-op (possibly a pending NCSF head)."""
-        self.stats.renamed_uops += 1
         head = uop.head
 
         if uop.fusion is FusionKind.NCSF and uop.pending:
@@ -219,7 +204,6 @@ class RenameUnit:
         head = uop.head
         if self.max_active_ncs >= self.config.ncsf_nesting:
             # Nesting saturated: behaves as unfused (Section IV-B2).
-            self.stats.unfused_nesting += 1
             uop.unfuse("nesting")
             self._bind_sources(uop, head.srcs)
             self.allocate_uop(uop)
@@ -230,10 +214,9 @@ class RenameUnit:
             self._propagate_tags(head.srcs, uop.dests)
             return
 
-    # The fused µ-op renames all its destinations now, but only the
-    # head's enter the RAT — the tail's stay in the side buffer until
-    # the tail nucleus renames (the WaR fix).
-        self.stats.ncsf_heads += 1
+        # The fused µ-op renames all its destinations now, but only the
+        # head's enter the RAT — the tail's stay in the side buffer
+        # until the tail nucleus renames (the WaR fix).
         nest_bit = 1 << self.max_active_ncs
         uop.nest_level = self.max_active_ncs
         self.max_active_ncs += 1
@@ -264,16 +247,13 @@ class RenameUnit:
         outcome = "validated"
 
         if self.ncsf_serializing:
-            self.stats.unfused_serializing += 1
             outcome = "serializing"
         elif head_uop.is_store and self.ncsf_storepair:
-            self.stats.unfused_storepair += 1
             outcome = "storepair"
         else:
             nest_bit = 1 << head_uop.nest_level
             for reg in tail.srcs:
                 if self.deadlock_tags.get(reg, 0) & nest_bit:
-                    self.stats.unfused_deadlock += 1
                     outcome = "deadlock"
                     break
 
@@ -281,7 +261,6 @@ class RenameUnit:
             if any(reg in self.inside_ncs for reg in tail.srcs):
                 # RaW between catalyst and tail: the IQ entry's source
                 # names are corrected in place at Dispatch (case 1).
-                self.stats.raw_corrections += 1
                 head_uop.raw_corrected = True
             # Bind the tail's true producers (post-catalyst values).
             # A tail store's *data* register does not gate issue — the
@@ -308,7 +287,6 @@ class RenameUnit:
                 self._set_writer(tail.dest, head_uop, tail.seq)
                 if self.active_ncs > 0:
                     self.inside_ncs.add(tail.dest)
-            self.stats.ncsf_validated += 1
 
         self.active_ncs -= 1
         self._end_nest_if_done()

@@ -46,8 +46,6 @@ class UopCache:
     def __init__(self, capacity_groups: int = 512):
         self.capacity = capacity_groups
         self._groups: "OrderedDict[int, Tuple[CachedSlot, ...]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, start_pc: int,
                upcoming_pcs: Sequence[int]) -> Optional[Tuple[CachedSlot, ...]]:
@@ -59,18 +57,15 @@ class UopCache:
         """
         group = self._groups.get(start_pc)
         if group is None:
-            self.misses += 1
             return None
         position = 0
         for slot in group:
             for pc in slot.pcs:
                 if position >= len(upcoming_pcs) \
                         or upcoming_pcs[position] != pc:
-                    self.misses += 1
                     return None
                 position += 1
         self._groups.move_to_end(start_pc)
-        self.hits += 1
         return group
 
     def fill(self, start_pc: int, slots: Sequence[CachedSlot]) -> None:

@@ -9,25 +9,6 @@ experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class BranchStats:
-    lookups: int = 0
-    mispredicts: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        if not self.lookups:
-            return 1.0
-        return 1.0 - self.mispredicts / self.lookups
-
-    def mpki(self, instructions: int) -> float:
-        if not instructions:
-            return 0.0
-        return 1000.0 * self.mispredicts / instructions
-
 
 class BranchPredictor:
     """Bimodal + gshare + chooser, with a global history register."""
@@ -43,7 +24,6 @@ class BranchPredictor:
         # Chooser: 0/1 prefer bimodal, 2/3 prefer gshare.
         self._chooser = [2] * self.table_size
         self.ghr = 0
-        self.stats = BranchStats()
 
     def _indices(self, pc: int):
         base = (pc >> 2) & self._mask
@@ -71,12 +51,7 @@ class BranchPredictor:
         bimodal_pred = bimodal[bi_index] >= 2
         gshare_pred = gshare[gs_index] >= 2
         prediction = gshare_pred if chooser[bi_index] >= 2 else bimodal_pred
-
-        stats = self.stats
-        stats.lookups += 1
         mispredicted = prediction != taken
-        if mispredicted:
-            stats.mispredicts += 1
 
         # Chooser trains only when the two sides disagree.
         if bimodal_pred != gshare_pred:

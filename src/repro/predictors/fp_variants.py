@@ -11,16 +11,13 @@ interface as :class:`~repro.predictors.fusion_predictor.FusionPredictor`:
 * ``predict(pc, ghr) -> Optional[prediction]`` (prediction has
   ``.distance``),
 * ``train(pc, ghr, distance)`` (driven by the UCH at commit),
-* ``resolve(prediction, correct)`` (execute-time outcome),
-* ``stats`` / ``storage_bits``.
+* ``resolve(prediction, correct)`` (execute-time outcome).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional
-
-from repro.predictors.fusion_predictor import FusionPredictorStats
 
 #: Deterministic pseudo-random stream for probabilistic counters —
 #: simulation results must be reproducible.
@@ -87,15 +84,6 @@ class TageFusionPredictor:
         self._tag_mask = (1 << tag_bits) - 1
         self.probabilistic = probabilistic
         self._dice = _Dice()
-        self.stats = FusionPredictorStats()
-
-    @property
-    def storage_bits(self) -> int:
-        # Base: 6-bit distance + 2-bit confidence.  Tagged: + tag + 1
-        # useful bit.
-        base = len(self._base) * (6 + 2)
-        tagged = sum(len(t) for t in self._tagged) * (6 + 2 + 8 + 1)
-        return base + tagged
 
     def _indices(self, pc: int, ghr: int, table: int) -> int:
         history = ghr & ((1 << self.history_lengths[table]) - 1)
@@ -114,13 +102,11 @@ class TageFusionPredictor:
         return -1, self._base[(pc >> 2) & self._base_mask]
 
     def predict(self, pc: int, ghr: int) -> Optional[_TagePrediction]:
-        self.stats.lookups += 1
         table, entry = self._lookup(pc, ghr)
         if table == -1 and not entry.valid:
             return None
         if entry.confidence < self.confidence_max:
             return None
-        self.stats.predictions += 1
         return _TagePrediction(pc=pc, ghr=ghr, distance=entry.distance,
                                table_index=table, entry=entry)
 
@@ -138,7 +124,6 @@ class TageFusionPredictor:
     def train(self, pc: int, ghr: int, distance: int) -> None:
         if not 0 < distance <= self.max_distance:
             return
-        self.stats.trainings += 1
         table, entry = self._lookup(pc, ghr)
         if table == -1:
             base = self._base[(pc >> 2) & self._base_mask]
@@ -177,11 +162,9 @@ class TageFusionPredictor:
     def resolve(self, prediction: _TagePrediction, correct: bool) -> None:
         entry = prediction.entry
         if correct:
-            self.stats.correct += 1
             if prediction.table_index >= 0:
                 entry.useful = min(3, entry.useful + 1)
             return
-        self.stats.mispredictions += 1
         if entry is not None and entry.distance == prediction.distance:
             entry.confidence = 0
             if prediction.table_index >= 0:
@@ -228,13 +211,6 @@ class LocalHistoryFusionPredictor:
         self.max_distance = max_distance
         self.probabilistic = probabilistic
         self._dice = _Dice()
-        self.stats = FusionPredictorStats()
-
-    @property
-    def storage_bits(self) -> int:
-        # L1: 12-bit local history per entry.  L2: tag + 6-bit distance
-        # + 2-bit confidence.
-        return len(self._l1) * 12 + len(self._l2) * (8 + 6 + 2)
 
     def _l2_entry(self, pc: int) -> _LocalEntry:
         history = self._l1[(pc >> 2) & self._l1_mask]
@@ -245,20 +221,17 @@ class LocalHistoryFusionPredictor:
         return (pc >> 4) & self._tag_mask
 
     def predict(self, pc: int, ghr: int) -> Optional[_LocalPrediction]:
-        self.stats.lookups += 1
         entry = self._l2_entry(pc)
         if not entry.valid or entry.tag != self._tag(pc):
             return None
         if entry.confidence < self.confidence_max:
             return None
-        self.stats.predictions += 1
         return _LocalPrediction(pc=pc, ghr=ghr, distance=entry.distance,
                                 entry=entry)
 
     def train(self, pc: int, ghr: int, distance: int) -> None:
         if not 0 < distance <= self.max_distance:
             return
-        self.stats.trainings += 1
         entry = self._l2_entry(pc)
         tag = self._tag(pc)
         if entry.valid and entry.tag == tag and entry.distance == distance:
@@ -277,9 +250,7 @@ class LocalHistoryFusionPredictor:
 
     def resolve(self, prediction: _LocalPrediction, correct: bool) -> None:
         if correct:
-            self.stats.correct += 1
             return
-        self.stats.mispredictions += 1
         entry = prediction.entry
         if entry is not None and entry.distance == prediction.distance:
             entry.confidence = 0

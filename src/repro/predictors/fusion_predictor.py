@@ -38,8 +38,6 @@ class _Table:
 
     def __init__(self, sets: int, ways: int, tag_bits: int,
                  confidence_bump=None):
-        self.sets = sets
-        self.ways = ways
         self.tag_mask = (1 << tag_bits) - 1
         self._entries: List[List[_Entry]] = [
             [_Entry() for _ in range(ways)] for _ in range(sets)]
@@ -108,22 +106,6 @@ class FusionPrediction:
     selector_index: int = 0
 
 
-@dataclass
-class FusionPredictorStats:
-    lookups: int = 0
-    predictions: int = 0
-    correct: int = 0
-    mispredictions: int = 0
-    trainings: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        resolved = self.correct + self.mispredictions
-        if not resolved:
-            return 1.0
-        return self.correct / resolved
-
-
 class FusionPredictor:
     """Tournament FP: local + gshare sides with a selection table."""
 
@@ -131,7 +113,6 @@ class FusionPredictor:
                  selector_entries: int = 2048, tag_bits: int = 8,
                  confidence_max: int = 3, max_distance: int = 64,
                  probabilistic: bool = False):
-        self.sets = sets
         self.tag_bits = tag_bits
         self.confidence_max = confidence_max
         self.max_distance = max_distance
@@ -145,15 +126,6 @@ class FusionPredictor:
         self.selector = [2] * selector_entries
         self._selector_mask = selector_entries - 1
         self._set_mask = sets - 1
-        self.stats = FusionPredictorStats()
-
-    # -- storage accounting (Table II) -------------------------------------
-
-    @property
-    def storage_bits(self) -> int:
-        """17 bits per data entry x 2 tables + 2-bit selector entries."""
-        per_table = self.sets * self.local.ways * 17
-        return 2 * per_table + 2 * len(self.selector)
 
     # -- indexing -----------------------------------------------------------
 
@@ -172,7 +144,6 @@ class FusionPredictor:
         A prediction is only returned when the supplying entry's
         confidence counter is saturated (condition 1 of Section IV-A2).
         """
-        self.stats.lookups += 1
         local_index, gshare_index, tag, selector_index = self._indices(pc, ghr)
         local_entry = self.local.lookup(local_index, tag)
         global_entry = self.gshare.lookup(gshare_index, tag)
@@ -185,7 +156,6 @@ class FusionPredictor:
         entry = global_entry if use_global else local_entry
         if entry.confidence < self.confidence_max:
             return None
-        self.stats.predictions += 1
         return FusionPrediction(
             pc=pc, ghr=ghr, distance=entry.distance, used_global=use_global,
             local_entry=local_entry, global_entry=global_entry,
@@ -197,7 +167,6 @@ class FusionPredictor:
         """Train both sides from a UCH match at commit."""
         if not 0 < distance <= self.max_distance:
             return
-        self.stats.trainings += 1
         local_index, gshare_index, tag, _ = self._indices(pc, ghr)
         self.local.train(local_index, tag, distance)
         self.gshare.train(gshare_index, tag, distance)
@@ -212,10 +181,6 @@ class FusionPredictor:
         confidence is reset to 0.  The selection table trains whenever
         the two sides would have disagreed.
         """
-        if correct:
-            self.stats.correct += 1
-        else:
-            self.stats.mispredictions += 1
         local_entry = prediction.local_entry
         global_entry = prediction.global_entry
         if local_entry is not None and global_entry is not None \

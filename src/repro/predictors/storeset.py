@@ -22,7 +22,6 @@ class StoreSetPredictor:
         # recent store in the set (None once it completes).
         self._lfst: Dict[int, Optional[int]] = {}
         self._next_ssid = 0
-        self.violations_trained = 0
 
     def _slot(self, pc: int) -> int:
         return (pc >> 2) & self._ssit_mask
@@ -56,7 +55,6 @@ class StoreSetPredictor:
 
     def train_violation(self, load_pc: int, store_pc: int) -> None:
         """Merge the violating load and store into one store set."""
-        self.violations_trained += 1
         load_slot, store_slot = self._slot(load_pc), self._slot(store_pc)
         load_ssid = self._ssit.get(load_slot)
         store_ssid = self._ssit.get(store_slot)

@@ -57,13 +57,6 @@ class UnfusedCommittedHistory:
         self.entries = [_Entry() for _ in range(entries)]
         self.line_shift = line_bytes.bit_length() - 1
         self.max_distance = max_distance
-        self.matches = 0
-        self.insertions = 0
-
-    @property
-    def storage_bits(self) -> int:
-        """1 valid + 32 tag + 7 CN bits per entry (5 B, Section IV-A1)."""
-        return len(self.entries) * (1 + _TAG_BITS + _CN_BITS)
 
     def _tag_of(self, addr: int) -> int:
         return (addr >> self.line_shift) & ((1 << _TAG_BITS) - 1)
@@ -84,7 +77,6 @@ class UnfusedCommittedHistory:
                 distance = (cn - entry.cn) & _CN_MASK
                 entry.valid = False
                 if 0 < distance <= self.max_distance:
-                    self.matches += 1
                     return UCHMatch(head_pc=entry.pc, distance=distance,
                                     head_seq=entry.seq)
                 # Stale (wrapped) entry: fall through and re-insert.
@@ -93,7 +85,6 @@ class UnfusedCommittedHistory:
         return None
 
     def _insert(self, pc: int, tag: int, cn: int, seq: int = -1) -> None:
-        self.insertions += 1
         victim = None
         for entry in self.entries:
             if not entry.valid:

@@ -42,8 +42,6 @@ class UCHUpdateQueue:
         self.drains_per_cycle = drains_per_cycle
         self._queue: Deque[_PendingTrain] = deque()
         self._inserted_this_cycle = 0
-        self.dropped = 0
-        self.enqueued = 0
 
     def begin_cycle(self) -> None:
         self._inserted_this_cycle = 0
@@ -53,11 +51,9 @@ class UCHUpdateQueue:
         """Offer one committing µ-op; returns False when dropped."""
         if (len(self._queue) >= self.capacity
                 or self._inserted_this_cycle >= self.inserts_per_cycle):
-            self.dropped += 1
             return False
         self._queue.append(_PendingTrain(pc, addr, commit_number, ghr, seq))
         self._inserted_this_cycle += 1
-        self.enqueued += 1
         return True
 
     def drain(self, observe: Callable[..., Optional[object]],

@@ -58,8 +58,6 @@ class IntervalEstimate:
     mean: float
     half_width: float
     n: int
-    std: float = 0.0
-    confidence: float = 0.95
 
     @property
     def low(self) -> float:
@@ -68,11 +66,6 @@ class IntervalEstimate:
     @property
     def high(self) -> float:
         return self.mean + self.half_width
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"mean": self.mean, "half_width": self.half_width,
-                "low": self.low, "high": self.high, "n": self.n,
-                "std": self.std, "confidence": self.confidence}
 
 
 def estimate_mean(samples: Sequence[float]) -> IntervalEstimate:
@@ -88,9 +81,8 @@ def estimate_mean(samples: Sequence[float]) -> IntervalEstimate:
     if n == 1:
         return IntervalEstimate(mean=mean, half_width=0.0, n=1)
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    std = math.sqrt(var)
-    half = t_critical_95(n - 1) * std / math.sqrt(n)
-    return IntervalEstimate(mean=mean, half_width=half, n=n, std=std)
+    half = t_critical_95(n - 1) * math.sqrt(var) / math.sqrt(n)
+    return IntervalEstimate(mean=mean, half_width=half, n=n)
 
 
 @dataclass
@@ -140,22 +132,6 @@ class SampledEstimate:
         tail_uops = self.total_uops - self.head_uops
         return self.cpi.half_width * tail_uops / self.est_cycles
 
-    def to_dict(self) -> Dict:
-        return {
-            "workload": self.workload, "mode": self.mode,
-            "total_uops": self.total_uops, "windows": self.windows,
-            "window_uops": self.window_uops,
-            "head_uops": self.head_uops,
-            "head_cycles": self.head_cycles,
-            "cpi": self.cpi.to_dict() if self.cpi is not None else None,
-            "ipc_estimate": self.ipc_estimate,
-            "ipc_low": self.ipc_low, "ipc_high": self.ipc_high,
-            "ipc_rel_err": self.ipc_rel_err,
-            "est_cycles": self.est_cycles,
-            "cpi_bucket_shares": dict(self.cpi_bucket_shares),
-            "exact": self.exact,
-        }
-
 
 def finalize_estimate(workload: str, mode: str, total_uops: int,
                       window_uops: int,
@@ -173,8 +149,7 @@ def finalize_estimate(workload: str, mode: str, total_uops: int,
     cpi = estimate_mean(window_cpis)
     floor = NON_SAMPLING_BIAS_REL * abs(cpi.mean)
     if cpi.half_width < floor:
-        cpi = IntervalEstimate(mean=cpi.mean, half_width=floor,
-                               n=cpi.n, std=cpi.std)
+        cpi = IntervalEstimate(mean=cpi.mean, half_width=floor, n=cpi.n)
     tail_uops = max(0, total_uops - head_uops)
     est_cycles = head_cycles + cpi.mean * tail_uops
     cycles_low = head_cycles + cpi.low * tail_uops

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from repro.config import FusionMode, ProcessorConfig
 from repro.isa.trace import MicroOp
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.predictors.branch import BranchPredictor, BranchStats
+from repro.predictors.branch import BranchPredictor
 from repro.predictors.fp_variants import make_fusion_predictor
 from repro.predictors.uch import UnfusedCommittedHistory
 
@@ -113,13 +113,7 @@ class FunctionalWarmer:
         self.commit_counter = cc
 
     def state(self) -> WarmState:
-        """The accumulated warm state, ready for ``PipelineCore``.
-
-        The branch predictor's lookup/mispredict statistics are reset:
-        warming updates are training traffic, not predictions the
-        simulated machine made.
-        """
-        self.branch_pred.stats = BranchStats()
+        """The accumulated warm state, ready for ``PipelineCore``."""
         return WarmState(
             memory=self.memory,
             branch_pred=self.branch_pred,

@@ -13,6 +13,7 @@ from repro.config import FusionMode, ProcessorConfig
 from repro.isa import assemble, run_program
 from repro.isa.interp import Interpreter
 from repro.isa.trace import Trace
+from repro.pipeline.core import CoreStats
 from tests import test_pipeline_deadlocks as deadlocks
 
 
@@ -37,11 +38,15 @@ def test_analyze_workload_clean_on_catalog_sample():
     assert report.ok, [d.detail for d in report.divergences]
     assert len(report.checks) == 3
     for check in report.checks:
-        assert check.ok and check.cycles > 0
+        assert check.ok and check.stats.cycles > 0
     rendered = report.render()
     assert "dijkstra" in rendered and "no divergences" in rendered
     data = report.to_dict()
     assert data["ok"] is True
+    # Each mode carries the run's full counters.
+    for mode, check in zip(data["modes"], report.checks):
+        assert mode["stats"] == check.stats.to_dict()
+        assert set(mode["stats"]) == set(CoreStats().to_dict())
     assert data["legality"]["legal_pairs"] == len(report.legality.legal)
 
 
@@ -118,21 +123,35 @@ SPAN_MISPREDICTION = """
     ecall
 """
 
+# A Helios load pair whose tail reads the bytes of a store inside the
+# pair's own catalyst: the store drains only after the pair commits, so
+# waiting would deadlock.
+CATALYST_STORE = """
+    li x1, 0x20000
+    ld x4, 0(x1)
+    sd x9, 8(x1)
+    ld x5, 8(x1)
+    ecall
+"""
+
 
 @pytest.mark.parametrize("source,kind,nth,repair", [
     (SPAN_MISPREDICTION, "load", (0, 1), "span"),
+    (CATALYST_STORE, "load", (0, 1), "deadlock"),
     (deadlocks.SHAPE_A, "store", (0, 1), "deadlock"),
     (deadlocks.SHAPE_B, "store", (0, 1), "deadlock"),
-    (deadlocks.SHAPE_C_REG, "load", (0, 1), None),
+    (deadlocks.SHAPE_C_REG, "load", (0, 1), "legality"),
     (deadlocks.SHAPE_C_MEM, "load", (0, 2), "deadlock"),
-], ids=["case5-span", "shape-a", "shape-b", "shape-c-reg", "shape-c-mem"])
+], ids=["case5-span", "catalyst-store", "shape-a", "shape-b", "shape-c-reg",
+        "shape-c-mem"])
 def test_forced_helios_repairs_keep_committed_state_exact(
         monkeypatch, source, kind, nth, repair):
     """Every repair a forced fusion predictor can drive Helios into
-    leaves the committed state bit-exact against the interpreter.
+    leaves the committed state bit-exact against the interpreter, and
+    is counted as its kind.
 
-    Shape C-reg is unfused at rename, which the mode check does not
-    count, so that case asserts a clean run only.
+    Shape C-reg is unfused at rename, before the pair holds registers,
+    so it counts a legality unfusion and flushes nothing.
     """
     program = assemble(source)
     interp = Interpreter(program, record_stores=True)
@@ -150,7 +169,13 @@ def test_forced_helios_repairs_keep_committed_state_exact(
         expected_memory=interp.memory.snapshot())
     (check,) = report.checks
     assert check.ok, [str(d) for d in check.divergences]
-    if repair is not None:
-        assert check.fusion_flushes >= 1
+    stats = check.stats
+    if repair == "legality":
+        assert stats.fp_legality_unfusions >= 1
+    else:
+        assert stats.fusion_flushes >= 1
+    if repair == "span":
+        assert stats.fp_address_mispredictions >= 1
     if repair == "deadlock":
-        assert check.deadlock_unfusions >= 1
+        assert stats.deadlock_unfusions >= 1
+        assert stats.fp_address_mispredictions == 0

@@ -26,8 +26,6 @@ def test_cache_miss_then_hit():
     assert not cache.lookup(0x1000)
     assert cache.lookup(0x1000)
     assert cache.lookup(0x1008)  # same line
-    assert cache.stats.hits == 2
-    assert cache.stats.misses == 1
 
 
 def test_cache_lru_eviction():
@@ -58,7 +56,7 @@ def test_probe_does_not_install():
     cache = small_cache()
     assert not cache.probe(0x4000)
     assert not cache.probe(0x4000)
-    assert cache.stats.accesses == 0
+    assert not cache.lookup(0x4000)  # the probes installed nothing
 
 
 # ---- TLB ----------------------------------------------------------------------
@@ -110,11 +108,11 @@ def test_hierarchy_l2_hit_after_l1_eviction():
 
 def test_line_crossing_accounted():
     mem = hierarchy()
-    mem.access_latency(0x10000, 64)   # exactly one line: no crossing
-    mem.access_latency(0x10040, 8)    # warm the second line
-    assert mem.line_crossings == 0
+    mem.access_latency(0x10000, 8)
+    mem.access_latency(0x10040, 8)    # warm both lines
+    # Exactly one line: no crossing penalty.
+    assert mem.access_latency(0x10000, 64) == mem.l1d.latency
     latency = mem.access_latency(0x1003C, 8)  # crosses 0x10040
-    assert mem.line_crossings == 1
     # Both lines warm: latency = L1 + crossing penalty.
     assert latency == mem.l1d.latency + mem.config.line_crossing_penalty
 
@@ -124,7 +122,6 @@ def test_fused_span_single_line_one_access():
     mem.access_latency(0x10000, 8)
     # A fused pair's span inside one line costs one L1 access.
     assert mem.access_latency(0x10000, 48) == mem.l1d.latency
-    assert mem.line_crossings == 0
 
 
 # ---- store-to-load forwarding --------------------------------------------------

@@ -8,11 +8,13 @@ import pytest
 
 from repro.config import FusionMode
 from repro.perf.profile import (
+    _CORE_STAGES,
     dump_pstats,
     profile_run,
     render_profile,
     serializable,
 )
+from repro.pipeline.core import PipelineCore
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,15 @@ def test_profile_stage_attribution_partitions_time(payload):
     assert {"issue", "commit", "rename"} <= names
     # tottime partitions exactly: percentages sum to ~100.
     assert sum(row["pct"] for row in stages) == pytest.approx(100.0, abs=1.5)
+
+
+def test_core_stage_map_names_core_methods():
+    # A key naming a deleted method charges nothing, and the method
+    # that replaced it falls through to ``cycle_loop``.
+    stale = [name for name in _CORE_STAGES
+             if not callable(getattr(PipelineCore, name, None))]
+    assert stale == []
+    assert _CORE_STAGES["_unfuse"] == "flush"
 
 
 def test_profile_top_functions_and_buckets(payload):

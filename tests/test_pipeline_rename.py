@@ -88,7 +88,6 @@ def test_ncsf_raw_detection_binds_true_producers():
     assert outcome == "validated"
     assert head.raw_corrected
     assert catalyst in [p for p, _reg in head.extra_producers]
-    assert unit.stats.raw_corrections == 1
 
 
 def test_deadlock_detected_direct():
@@ -108,7 +107,6 @@ def test_deadlock_detected_direct():
     unit.rename(catalyst)  # x3 inherits the head's deadlock tag via x1
     outcome = unit.rename_tail_ghost(ghost)
     assert outcome == "deadlock"
-    assert unit.stats.unfused_deadlock == 1
 
 
 def test_deadlock_tag_cleared_by_overwrite():
@@ -214,7 +212,6 @@ def test_nesting_limit_unfuses_third_pair():
     unit.rename(heads[1])
     unit.rename(heads[2])  # third nest: must behave as unfused
     assert heads[2].fusion is FusionKind.NONE
-    assert unit.stats.unfused_nesting == 1
     assert unit.rename_tail_ghost(ghosts[0]) == "validated"
     assert unit.rename_tail_ghost(ghosts[1]) == "validated"
 

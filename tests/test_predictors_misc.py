@@ -42,13 +42,15 @@ def test_branch_ghr_tracks_directions():
     assert predictor.ghr == 0b1011
 
 
-def test_branch_stats():
+def test_branch_update_reports_the_prediction_it_trains_on():
     predictor = BranchPredictor()
-    for _ in range(10):
-        predictor.update(0x100, True)
-    assert predictor.stats.lookups == 10
-    assert 0.0 <= predictor.stats.accuracy <= 1.0
-    assert predictor.stats.mpki(1000) == predictor.stats.mispredicts
+    verdicts = []
+    for i in range(40):
+        pc, taken = 0x100 + 4 * (i % 3), i % 5 < 2
+        expected = predictor.predict(pc) != taken
+        verdicts.append(predictor.update(pc, taken))
+        assert verdicts[-1] == expected
+    assert True in verdicts and False in verdicts
 
 
 # ---- store-set predictor ----------------------------------------------------
@@ -107,7 +109,7 @@ def test_queue_drops_when_full():
     assert queue.push(0x100, 0x20000, 1, 0)
     assert queue.push(0x104, 0x20008, 2, 0)
     assert not queue.push(0x108, 0x20010, 3, 0)
-    assert queue.dropped == 1
+    assert len(queue) == 2
 
 
 def test_queue_respects_insert_bandwidth():

@@ -81,13 +81,6 @@ def test_single_entry_store_history():
     assert uch.observe(pc=0x10C, addr=0x20008, commit_number=4) is None  # 0x20000 displaced at cn=3
 
 
-def test_storage_bits_match_paper():
-    # 6-entry load UCH + 1-entry store UCH = 7 x 40 bits = 280 bits.
-    loads = UnfusedCommittedHistory(entries=6)
-    stores = UnfusedCommittedHistory(entries=1)
-    assert loads.storage_bits + stores.storage_bits == 280
-
-
 def test_invalidate_all():
     uch = UnfusedCommittedHistory(entries=6)
     uch.observe(pc=0x100, addr=0x20000, commit_number=1)

@@ -50,21 +50,14 @@ def test_variant_misprediction_resets(make):
     prediction = fp.predict(0x100, 0)
     fp.resolve(prediction, correct=False)
     assert fp.predict(0x100, 0) is None
-    assert fp.stats.mispredictions == 1
 
 
 @pytest.mark.parametrize("make", ALL_VARIANTS)
 def test_variant_rejects_bad_distances(make):
     fp = make()
-    fp.train(0x100, 0, 0)
-    fp.train(0x100, 0, 999)
-    assert fp.stats.trainings == 0
-
-
-@pytest.mark.parametrize("make", ALL_VARIANTS)
-def test_variant_storage_accounting(make):
-    fp = make()
-    assert fp.storage_bits > 0
+    saturate(fp, 0x100, 0, 0)
+    saturate(fp, 0x100, 0, 999)
+    assert fp.predict(0x100, 0) is None
 
 
 def test_tage_history_disambiguates():

@@ -44,10 +44,13 @@ def test_core_stats_round_trip(helios_result):
     assert CoreStats.from_dict(stats.to_dict()) == stats
 
 
-def test_core_stats_from_dict_tolerates_schema_drift():
-    stats = CoreStats.from_dict({"cycles": 7, "some_future_counter": 9})
-    assert stats.cycles == 7
-    assert stats.instructions == 0  # missing counters keep defaults
+def test_core_stats_from_dict_rejects_schema_drift():
+    counters = CoreStats().to_dict()
+    with pytest.raises(ValueError):
+        CoreStats.from_dict(dict(counters, some_future_counter=9))
+    del counters["cycles"]
+    with pytest.raises(ValueError):
+        CoreStats.from_dict(counters)
 
 
 def test_sim_result_round_trip_through_json(helios_result):
@@ -142,6 +145,30 @@ def test_cache_ignores_schema_mismatch(tmp_path, helios_result):
     data["schema"] = CACHE_SCHEMA_VERSION + 1
     path.write_text(json.dumps(data))
     assert cache.get("657.xz_1", config) is None
+
+
+@pytest.mark.parametrize("drift", ["extra-counter", "missing-counter",
+                                   "missing-commit-width"])
+def test_cache_entry_with_other_counters_is_a_miss(tmp_path, helios_result,
+                                                   drift):
+    # An entry written before a counter changed, without a schema bump,
+    # must be recomputed, not served with zeroed or dropped counters.
+    cache = ResultCache(tmp_path)
+    config = ProcessorConfig().with_mode(FusionMode.HELIOS)
+    cache.put("657.xz_1", config, helios_result)
+    path = cache.path_for(cache_key("657.xz_1", config))
+    data = json.loads(path.read_text())
+    if drift == "extra-counter":
+        data["result"]["stats"]["some_future_counter"] = 9
+    elif drift == "missing-counter":
+        del data["result"]["stats"]["deadlock_unfusions"]
+    else:
+        del data["result"]["commit_width"]
+    path.write_text(json.dumps(data))
+    assert cache.get("657.xz_1", config) is None
+    assert [p.name for p in cache.quarantined()] == [path.name + ".corrupt"]
+    cache.put("657.xz_1", config, helios_result)
+    assert cache.get("657.xz_1", config).stats == helios_result.stats
 
 
 def test_cache_inspection_and_clear(tmp_path, helios_result):
