@@ -161,6 +161,23 @@ def _overlaps_any(ranges: list[tuple[int, int]], lo: int, hi: int) -> bool:
     return False
 
 
+def _alias_join(stores: list[tuple[int, int]], head_lo: int, head_hi: int,
+                tail_lo: int, tail_hi: int) -> AliasClass:
+    """Join of every store range's alias class against the pair's two
+    byte ranges; stops at ``COVERS``, the lattice top."""
+    alias = AliasClass.NO_ALIAS
+    accesses = ((head_lo, head_hi), (tail_lo, tail_hi))
+    for store_lo, store_hi in stores:
+        for lo, hi in accesses:
+            # (_alias_of, inlined: this runs per catalyst store for
+            # every candidate.)
+            if store_lo < hi and lo < store_hi:
+                if store_lo <= lo and hi <= store_hi:
+                    return AliasClass.COVERS
+                alias = AliasClass.PARTIAL
+    return alias
+
+
 @dataclass(frozen=True)
 class PairVerdict:
     """Classification of one ``(head, tail)`` candidate."""
@@ -198,6 +215,11 @@ class PairVerdict:
                    self.tail_pc, self.distance, verdict, extra))
 
 
+#: What :meth:`LegalityAnalyzer._classify` returns: a
+#: :class:`PairVerdict`'s ``(reasons, alias, rebound_srcs)``.
+_Verdict = tuple[tuple[Reason, ...], AliasClass, tuple[int, ...]]
+
+
 class _CatalystState(object):
     """Incremental dataflow state while scanning forward from a head.
 
@@ -208,24 +230,27 @@ class _CatalystState(object):
     * ``mem_taint`` — byte intervals whose contents depend on the head
       (the head store's own bytes, plus any catalyst store whose data
       or address is tainted).
-    * catalyst stores (for the alias lattice / store-pair rule) and
-      catalyst register writes (for re-binding / base liveness).
+    * catalyst stores' byte intervals (for the alias lattice and the
+      store-pair rule) and catalyst register writes (for re-binding /
+      base liveness).
     """
 
-    __slots__ = ("head", "serializing", "reg_taint", "mem_taint",
-                 "catalyst_stores", "catalyst_writes", "store_seen",
+    __slots__ = ("head", "head_lo", "head_hi", "serializing", "reg_taint",
+                 "mem_taint", "catalyst_stores", "catalyst_writes",
                  "load_overlaps_head")
 
     def __init__(self, head: MicroOp) -> None:
         self.head = head
+        self.head_lo = head.addr
+        self.head_hi = head.addr + head.size
         self.serializing = False
         self.reg_taint = (
             {head.dest} if head.dest is not None else set())
         self.mem_taint = (
-            [(head.addr, head.end_addr)] if head.is_store else [])
-        self.catalyst_stores = []  # type: list[MicroOp]
-        self.catalyst_writes = set()  # type: set
-        self.store_seen = False
+            [(self.head_lo, self.head_hi)] if head.is_store else [])
+        #: ``(addr, end)`` of each catalyst store, in program order.
+        self.catalyst_stores: list[tuple[int, int]] = []
+        self.catalyst_writes: set[int] = set()
         #: A catalyst load overlapping the head store's bytes without
         #: being fully covered by them (store-pair deadlock shape).
         self.load_overlaps_head = False
@@ -240,7 +265,7 @@ class _CatalystState(object):
 
     def reads_tainted_bytes(self, uop: MicroOp) -> bool:
         return bool(self.mem_taint) and _overlaps_any(
-            self.mem_taint, uop.addr, uop.end_addr)
+            self.mem_taint, uop.addr, uop.addr + uop.size)
 
     def absorb(self, uop: MicroOp) -> None:
         """Account ``uop`` as a catalyst member."""
@@ -251,17 +276,16 @@ class _CatalystState(object):
         if uop.is_load:
             if not tainted and self.reads_tainted_bytes(uop):
                 tainted = True  # memory-carried dependence on the head
-            head = self.head
-            if head.is_store and not self.load_overlaps_head:
-                alias = _alias_of(head.addr, head.end_addr,
-                                  uop.addr, uop.end_addr)
+            if self.head.is_store and not self.load_overlaps_head:
+                alias = _alias_of(self.head_lo, self.head_hi,
+                                  uop.addr, uop.addr + uop.size)
                 if alias is AliasClass.PARTIAL:
                     self.load_overlaps_head = True
         elif uop.is_store:
-            self.store_seen = True
-            self.catalyst_stores.append(uop)
+            stored = (uop.addr, uop.addr + uop.size)
+            self.catalyst_stores.append(stored)
             if tainted:
-                self.mem_taint.append((uop.addr, uop.end_addr))
+                self.mem_taint.append(stored)
         dest = uop.dest
         if dest is not None:
             self.catalyst_writes.add(dest)
@@ -356,8 +380,10 @@ class LegalityAnalyzer(object):
     # -- classification ------------------------------------------------
 
     def _classify(self, head: MicroOp, tail: MicroOp,
-                  state: _CatalystState) -> PairVerdict:
-        reasons = []  # type: list[Reason]
+                  state: _CatalystState) -> _Verdict:
+        """``(reasons, alias, rebound_srcs)`` of a :class:`PairVerdict`
+        for ``(head, tail)``, with the catalyst absorbed into ``state``."""
+        reasons: list[Reason] = []
         distance = tail.seq - head.seq
         same_kind = (tail.is_memory and head.is_memory
                      and tail.is_load == head.is_load)
@@ -384,27 +410,32 @@ class LegalityAnalyzer(object):
             if head.dest is not None and head.dest == tail.dest:
                 reasons.append(Reason.SAME_DEST)
         if head.is_store and same_kind:
-            if state.store_seen:
+            if state.catalyst_stores:
                 reasons.append(Reason.ALIASING_STORE)
             if state.load_overlaps_head:
                 reasons.append(Reason.CATALYST_LOAD_OVERLAP)
             if head.base_reg != tail.base_reg:
                 reasons.append(Reason.DBR_STORE)
-        rebound = tuple(src for src in tail.srcs
-                        if src in state.catalyst_writes)
+        rebound: tuple[int, ...] = ()
+        writes = state.catalyst_writes
+        if writes:
+            rebound = tuple([src for src in tail.srcs if src in writes])
         if rebound and not self.rebinding:
             reasons.append(Reason.CATALYST_WRITES_BASE)
         alias = AliasClass.NO_ALIAS
         if same_kind and state.catalyst_stores:
-            for store in state.catalyst_stores:
-                for lo, hi in ((head.addr, head.end_addr),
-                               (tail.addr, tail.end_addr)):
-                    alias = alias.join(_alias_of(
-                        store.addr, store.end_addr, lo, hi))
+            alias = _alias_join(state.catalyst_stores, state.head_lo,
+                                state.head_hi, tail.addr,
+                                tail.addr + tail.size)
+        return tuple(reasons), alias, rebound
+
+    def _verdict(self, head: MicroOp, tail: MicroOp,
+                 state: _CatalystState) -> PairVerdict:
+        reasons, alias, rebound = self._classify(head, tail, state)
         return PairVerdict(
             head_seq=head.seq, tail_seq=tail.seq,
             head_pc=head.pc, tail_pc=tail.pc,
-            reasons=tuple(reasons), alias=alias, rebound_srcs=rebound)
+            reasons=reasons, alias=alias, rebound_srcs=rebound)
 
     def classify_pair(self, head_seq: int, tail_seq: int) -> PairVerdict:
         """Verdict for an arbitrary pair (any distance, any kinds)."""
@@ -414,13 +445,13 @@ class LegalityAnalyzer(object):
         for index in range(self._index_of(head_seq) + 1,
                            self._index_of(tail_seq)):
             state.absorb(self.uops[index])
-        return self._classify(head, tail, state)
+        return self._verdict(head, tail, state)
 
     def verdicts_for_head(self, head_seq: int) -> list[PairVerdict]:
         """Verdicts for every same-kind candidate in the head's window."""
         start = self._index_of(head_seq)
         head = self.uops[start]
-        out = []  # type: list[PairVerdict]
+        out: list[PairVerdict] = []
         if not head.is_memory:
             return out
         state = _CatalystState(head)
@@ -428,13 +459,13 @@ class LegalityAnalyzer(object):
         for index in range(start + 1, horizon):
             tail = self.uops[index]
             if tail.is_memory and tail.is_load == head.is_load:
-                out.append(self._classify(head, tail, state))
+                out.append(self._verdict(head, tail, state))
             state.absorb(tail)
         return out
 
     def explain_pc(self, pc: int, limit: int = 20) -> list[PairVerdict]:
         """Candidate verdicts for heads at ``pc`` (first ``limit``)."""
-        out = []  # type: list[PairVerdict]
+        out: list[PairVerdict] = []
         for uop in self.uops:
             if uop.pc != pc or not uop.is_memory:
                 continue
@@ -446,9 +477,10 @@ class LegalityAnalyzer(object):
     def analyze(self) -> LegalityReport:
         """Classify every same-kind memory pair within the window."""
         legal = set()
-        reasons = Counter()  # type: Counter
-        alias_counts = Counter()  # type: Counter
+        reasons: Counter = Counter()
+        alias_counts: Counter = Counter()
         candidates = 0
+        classify = self._classify
         uops = self.uops
         total = len(uops)
         horizon = self.max_distance
@@ -457,20 +489,22 @@ class LegalityAnalyzer(object):
             if not head.is_memory:
                 continue
             state = _CatalystState(head)
+            absorb = state.absorb
+            head_seq = head.seq
             head_is_load = head.is_load
             stop = min(total, start + horizon + 1)
             for index in range(start + 1, stop):
                 tail = uops[index]
                 if tail.is_memory and tail.is_load == head_is_load:
-                    verdict = self._classify(head, tail, state)
+                    found, alias, _rebound = classify(head, tail, state)
                     candidates += 1
-                    if verdict.legal:
-                        legal.add((head.seq, tail.seq))
-                        alias_counts[verdict.alias] += 1
-                    else:
-                        for reason in verdict.reasons:
+                    if found:
+                        for reason in found:
                             reasons[reason] += 1
-                state.absorb(tail)
+                    else:
+                        legal.add((head_seq, tail.seq))
+                        alias_counts[alias] += 1
+                absorb(tail)
         return LegalityReport(
             trace_name=self.name, uops=total,
             granularity=self.granularity, max_distance=self.max_distance,

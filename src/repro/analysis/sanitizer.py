@@ -32,7 +32,13 @@ hook call in the core's per-cycle methods sits under such a test.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 __all__ = ["Sanitizer", "SanitizerError"]
+
+#: ``FusionKind.NCSF.value``; this module imports nothing from
+#: ``repro.pipeline``, so it matches the kind by value.
+_NCSF = "ncsf"
 
 
 class SanitizerError(AssertionError):
@@ -54,65 +60,137 @@ class SanitizerError(AssertionError):
             % (len(self.violations), cycle, detail))
 
 
+class _Window:
+    """The core's in-flight window (rename latch and ROB) as a set.
+
+    ``uop in window`` tests identity against the residents without
+    copying either structure: the latch is a few entries and is
+    scanned, and the ROB, when its sequence numbers rise strictly, is
+    binary-searched by ``seq`` (a ROB out of order is scanned).
+    """
+
+    __slots__ = ("latch", "rob", "ordered")
+
+    def __init__(self) -> None:
+        self.latch: Sequence = ()
+        self.rob: Sequence = ()
+        self.ordered = True
+
+    def __contains__(self, uop) -> bool:
+        for resident in self.latch:
+            if resident is uop:
+                return True
+        rob = self.rob
+        if not self.ordered:
+            for resident in rob:
+                if resident is uop:
+                    return True
+            return False
+        seq = uop.seq
+        lo, hi = 0, len(rob)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if rob[mid].seq < seq:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo < len(rob) and rob[lo] is uop
+
+
 class Sanitizer(object):
     """Drives the per-unit ``sanitize_violations`` hooks over a core.
 
     Duck-typed against :class:`repro.pipeline.core.PipelineCore`: the
     core never imports this module, and this module imports nothing
-    from ``repro.pipeline``.
+    from ``repro.pipeline``.  A check walks the ROB, the rename latch,
+    the RAT and the LQ/SQ once each and allocates nothing unless an
+    invariant broke.
     """
 
-    def __init__(self):
+    def __init__(self) -> None:
         #: Cycles checked so far (the differential report prints it).
         self.checks_run = 0
+        self._violations: list[str] = []
+        self._window = _Window()
 
     # -- per-cycle -----------------------------------------------------
 
     def check(self, core) -> None:
         """Run every invariant; raises :class:`SanitizerError`."""
         self.checks_run += 1
-        violations = self._rob_violations(core)
-        live = list(core.rename_latch) + list(core.rob)
-        ghosts = [u for u in core.rename_latch if u.is_tail_ghost]
-        violations.extend(
-            core.rename_unit.sanitize_violations(live, ghosts))
-        violations.extend(core.lsu.sanitize_violations(
-            core.config.cache_access_granularity))
-        if violations:
-            raise SanitizerError(core.now, violations)
+        out = self._violations
+        out.clear()
+        window = self._window
+        window.rob = core.rob
+        window.latch = core.rename_latch
+        pending_heads = self._rob_violations(core, out)
+        # NCS balance inputs from the latch: renamed pending heads wait
+        # here for dispatch, next to the tail ghosts whose validation
+        # already released their head's Active NCS slot.
+        validated_ghosts = 0
+        for uop in core.rename_latch:
+            if uop.pending and uop.rename_c and uop.fusion.value == _NCSF:
+                pending_heads += 1
+            if uop.is_tail_ghost and uop.ghost_of is not None \
+                    and uop.ghost_of.pending:
+                validated_ghosts += 1
+        core.rename_unit.sanitize_violations(
+            out, window, pending_heads, validated_ghosts)
+        core.lsu.sanitize_violations(
+            out, core.config.cache_access_granularity)
+        if out:
+            raise SanitizerError(core.now, out)
 
-    def _rob_violations(self, core) -> list[str]:
-        out: list[str] = []
+    def _rob_violations(self, core, out: list[str]) -> int:
+        """ROB shape into ``out``; returns the pending renamed NCSF
+        heads it holds (one input of the Active-NCS balance)."""
+        lsq_entries = core._lsq_entries
         previous = -1
+        ordered = True
         in_iq = 0
-        memory_seqs = set()
+        tracked = 0
+        pending_heads = 0
         for uop in core.rob:
-            if uop.seq <= previous:
+            seq = uop.seq
+            if seq <= previous:
                 out.append("ROB not in program order at seq %d (after %d)"
-                           % (uop.seq, previous))
-            previous = uop.seq
+                           % (seq, previous))
+                ordered = False
+            previous = seq
             if uop.squashed:
-                out.append("ROB holds squashed seq %d" % uop.seq)
+                out.append("ROB holds squashed seq %d" % seq)
             if uop.committed:
-                out.append("ROB holds committed seq %d" % uop.seq)
+                out.append("ROB holds committed seq %d" % seq)
             if uop.in_iq:
                 in_iq += 1
             if uop.is_memory:
-                memory_seqs.add(uop.seq)
-                if uop.seq not in core._lsq_entries:
+                if seq in lsq_entries:
+                    tracked += 1
+                else:
                     out.append("in-flight memory seq %d has no LSQ entry"
-                               % uop.seq)
-            if uop.tail is not None and uop.tail.seq <= uop.seq:
+                               % seq)
+            tail = uop.tail
+            if tail is not None and tail.seq <= seq:
                 out.append("fused seq %d has non-younger tail %d"
-                           % (uop.seq, uop.tail.seq))
+                           % (seq, tail.seq))
+            if uop.pending and uop.rename_c and uop.fusion.value == _NCSF:
+                pending_heads += 1
+        self._window.ordered = ordered
         if core.iq_count != in_iq:
             out.append("iq_count=%d but %d ROB residents claim an IQ slot"
                        % (core.iq_count, in_iq))
-        for seq in core._lsq_entries:
-            if seq not in memory_seqs:
-                out.append("LSQ side table tracks seq %d not in the ROB"
-                           % seq)
-        return out
+        # With unique ROB seqs, every side-table entry is an in-flight
+        # memory µ-op exactly when the two counts agree.
+        if not ordered or tracked != len(lsq_entries):
+            memory_seqs = set()
+            for uop in core.rob:
+                if uop.is_memory:
+                    memory_seqs.add(uop.seq)
+            for seq in lsq_entries:
+                if seq not in memory_seqs:
+                    out.append("LSQ side table tracks seq %d not in the "
+                               "ROB" % seq)
+        return pending_heads
 
     # -- end of run ----------------------------------------------------
 

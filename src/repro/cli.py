@@ -338,10 +338,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_debug(args) -> int:
     """Observability deep-dive on one (workload, configuration) run."""
-    import json
-
     from repro.obs import (PipelineObserver, chrome_trace,
-                           occupancy_report, validate_chrome_trace)
+                           occupancy_report, validate_chrome_trace,
+                           write_chrome_trace)
 
     if args.workload not in CATALOG:
         raise SystemExit("unknown workload %r (see `repro workloads`)"
@@ -371,7 +370,7 @@ def _cmd_debug(args) -> int:
                                dropped=observer.ring.dropped)
         validate_chrome_trace(payload)
         with open(args.events_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            write_chrome_trace(payload, handle)
         print("wrote %d trace events to %s (load in Perfetto / "
               "chrome://tracing)"
               % (len(payload["traceEvents"]), args.events_out))

@@ -18,6 +18,7 @@ from .export import (
     cpi_report,
     occupancy_report,
     validate_chrome_trace,
+    write_chrome_trace,
 )
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "cpi_report",
     "occupancy_report",
     "validate_chrome_trace",
+    "write_chrome_trace",
 ]

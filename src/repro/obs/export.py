@@ -11,6 +11,8 @@ Two machine formats and two human formats:
 * :func:`validate_chrome_trace` — structural validation of that JSON
   (used by tests and the CI smoke job), so an export regression fails
   loudly instead of producing a file Perfetto silently rejects.
+* :func:`write_chrome_trace` — writes that JSON to a file, the bytes
+  ``json.dump`` writes, in a fraction of its time.
 * :func:`occupancy_report` — ASCII per-structure occupancy table
   (mean / p50 / p95 / max) from a :class:`PipelineObserver`.
 * :func:`cpi_report` — ASCII top-down CPI breakdown from the
@@ -19,7 +21,8 @@ Two machine formats and two human formats:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+import json
+from typing import IO, Dict, List, Mapping, Sequence, Tuple
 
 from .events import EVENT_KINDS, STAGE_KINDS, Event, PipelineObserver
 
@@ -106,6 +109,42 @@ def chrome_trace(events: Sequence[Event], *, workload: str = "",
             "events_dropped": dropped,
         },
     }
+
+
+#: Events encoded per ``json.dumps`` call by :func:`write_chrome_trace`.
+_EVENTS_PER_CHUNK = 4096
+
+
+def write_chrome_trace(payload: Mapping, handle: IO[str]) -> None:
+    """Write ``payload`` to ``handle`` as ``json.dump(payload, handle)``
+    would, byte for byte (for string keys, as :func:`chrome_trace`
+    builds).
+
+    ``json.dump`` streams through the pure-Python encoder; the C encoder
+    runs only for a one-shot ``json.dumps``.  So the event list is
+    encoded a chunk of events per ``json.dumps`` call, and the top-level
+    keys and the other values one ``json.dumps`` each, joined with
+    ``json.dump``'s default separators.  No string holds more than one
+    chunk of events.
+    """
+    handle.write("{")
+    separator = ""
+    for key, value in payload.items():
+        handle.write("%s%s: " % (separator, json.dumps(key)))
+        separator = ", "
+        if key != "traceEvents":
+            handle.write(json.dumps(value))
+            continue
+        handle.write("[")
+        for start in range(0, len(value), _EVENTS_PER_CHUNK):
+            if start:
+                handle.write(", ")
+            # Drop the chunk's own brackets: the items stay joined by
+            # the list separator.
+            handle.write(json.dumps(
+                value[start:start + _EVENTS_PER_CHUNK])[1:-1])
+        handle.write("]")
+    handle.write("}")
 
 
 def validate_chrome_trace(payload: Mapping) -> None:

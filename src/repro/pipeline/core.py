@@ -1442,7 +1442,7 @@ class PipelineCore:
             self.fp.resolve(uop.fp_prediction, correct=False)
             uop.fp_prediction = None
         before = uop.dests
-        tail = uop.unfuse(reason)
+        tail = uop.unfuse()
         if self._ev is not None:
             self._ev.emit(self.now, "unfuse", uop.seq, reason)
         if uop.rename_c:

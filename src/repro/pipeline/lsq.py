@@ -162,58 +162,76 @@ class LoadStoreUnit:
 
     # -- sanitizer hooks -------------------------------------------------------
 
-    def sanitize_violations(self, granularity: int) -> List[str]:
+    def sanitize_violations(self, out: List[str], granularity: int) -> None:
         """Always-off LSQ ordering invariants (see repro.analysis.sanitizer).
 
-        Returns human-readable violation strings; empty when the queues
-        are well formed: allocation order matches program order, no
-        squashed entries survive a flush, sub-accesses belong to their
-        µ-op, and a completed fused entry's byte span fits the access
-        granularity (execute must have unfused any Case-5 pair).
+        Appends human-readable violation strings to ``out``; none when
+        the queues are well formed: allocation order matches program
+        order, no squashed entries survive a flush, sub-accesses belong
+        to their µ-op, and a completed fused entry's byte span fits the
+        access granularity (execute must have unfused any Case-5 pair).
         """
-        out: List[str] = []
-        for name, queue in (("LQ", self.lq), ("SQ", self.sq)):
-            previous = -1
-            for entry in queue:
-                uop = entry.uop
-                if uop.seq <= previous:
-                    out.append("%s not in program order at seq %d (after "
-                               "%d)" % (name, uop.seq, previous))
-                previous = uop.seq
-                if uop.squashed:
-                    out.append("%s holds squashed seq %d" % (name, uop.seq))
-                if uop.committed and uop.is_load:
-                    out.append("LQ holds committed load seq %d" % uop.seq)
-                subs = entry.subs
-                if not 1 <= len(subs) <= 2:
-                    out.append("%s seq %d has %d sub-accesses"
-                               % (name, uop.seq, len(subs)))
-                    continue
-                if subs[0].seq != uop.seq:
+        self._sanitize_queue(out, "LQ", self.lq, granularity)
+        self._sanitize_queue(out, "SQ", self.sq, granularity)
+
+    @staticmethod
+    def _sanitize_queue(out: List[str], name: str, queue: List[LSQEntry],
+                        granularity: int) -> None:
+        previous = -1
+        for entry in queue:
+            uop = entry.uop
+            seq = uop.seq
+            if seq <= previous:
+                out.append("%s not in program order at seq %d (after "
+                           "%d)" % (name, seq, previous))
+            previous = seq
+            if uop.squashed:
+                out.append("%s holds squashed seq %d" % (name, seq))
+            if uop.committed and uop.is_load:
+                out.append("LQ holds committed load seq %d" % seq)
+            subs = entry.subs
+            count = len(subs)
+            if count == 1:
+                head = subs[0]
+                if head.seq != seq:
                     out.append("%s seq %d head sub claims seq %d"
-                               % (name, uop.seq, subs[0].seq))
-                if len(subs) == 2:
-                    tail = uop.tail
-                    if tail is None or not tail.is_memory:
-                        out.append("%s seq %d keeps a tail sub after "
-                                   "unfuse" % (name, uop.seq))
-                    elif subs[1].seq != tail.seq or subs[1].seq <= uop.seq:
-                        out.append("%s seq %d tail sub seq %d does not "
-                                   "match tail nucleus %d"
-                                   % (name, uop.seq, subs[1].seq, tail.seq))
-                    if uop.complete_c is not None:
-                        lo = min(s.addr for s in subs)
-                        hi = max(s.end for s in subs)
-                        if hi - lo > granularity:
-                            out.append(
-                                "%s seq %d executed with span %d > "
-                                "granularity %d (Case 5 missed)"
-                                % (name, uop.seq, hi - lo, granularity))
-                for sub in subs:
-                    if sub.end <= sub.addr:
-                        out.append("%s seq %d sub with empty byte range"
-                                   % (name, uop.seq))
-        return out
+                               % (name, seq, head.seq))
+                if head.end <= head.addr:
+                    out.append("%s seq %d sub with empty byte range"
+                               % (name, seq))
+                continue
+            if count != 2:
+                out.append("%s seq %d has %d sub-accesses"
+                           % (name, seq, count))
+                continue
+            head, second = subs
+            head_lo, head_hi = head.addr, head.end
+            tail_lo, tail_hi = second.addr, second.end
+            if head.seq != seq:
+                out.append("%s seq %d head sub claims seq %d"
+                           % (name, seq, head.seq))
+            tail = uop.tail
+            if tail is None or not tail.is_memory:
+                out.append("%s seq %d keeps a tail sub after unfuse"
+                           % (name, seq))
+            elif second.seq != tail.seq or second.seq <= seq:
+                out.append("%s seq %d tail sub seq %d does not match "
+                           "tail nucleus %d"
+                           % (name, seq, second.seq, tail.seq))
+            if uop.complete_c is not None:
+                span = ((head_hi if head_hi >= tail_hi else tail_hi)
+                        - (head_lo if head_lo <= tail_lo else tail_lo))
+                if span > granularity:
+                    out.append(
+                        "%s seq %d executed with span %d > "
+                        "granularity %d (Case 5 missed)"
+                        % (name, seq, span, granularity))
+            if head_hi <= head_lo:
+                out.append("%s seq %d sub with empty byte range"
+                           % (name, seq))
+            if tail_hi <= tail_lo:
+                out.append("%s seq %d sub with empty byte range"
+                           % (name, seq))
 
     # -- store issue: memory-order violation detection -------------------------
 

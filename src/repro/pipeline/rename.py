@@ -204,7 +204,7 @@ class RenameUnit:
         head = uop.head
         if self.max_active_ncs >= self.config.ncsf_nesting:
             # Nesting saturated: behaves as unfused (Section IV-B2).
-            uop.unfuse("nesting")
+            uop.unfuse()
             self._bind_sources(uop, head.srcs)
             self.allocate_uop(uop)
             for reg in uop.dests:
@@ -258,11 +258,9 @@ class RenameUnit:
                     break
 
         if outcome == "validated":
-            if any(reg in self.inside_ncs for reg in tail.srcs):
-                # RaW between catalyst and tail: the IQ entry's source
-                # names are corrected in place at Dispatch (case 1).
-                head_uop.raw_corrected = True
-            # Bind the tail's true producers (post-catalyst values).
+            # Bind the tail's true producers (post-catalyst values):
+            # this is how a RaW between catalyst and tail is corrected
+            # (case 1).
             # A tail store's *data* register does not gate issue — the
             # fused store generates its address and captures the head
             # data first, and the tail data is captured when it arrives
@@ -330,17 +328,20 @@ class RenameUnit:
 
     # -- sanitizer hooks --------------------------------------------------------
 
-    def sanitize_violations(self, live_uops, ghosts_in_latch) -> List[str]:
+    def sanitize_violations(self, out: List[str], in_flight,
+                            pending_heads: int,
+                            validated_ghosts: int) -> None:
         """Always-off invariant checks, run by an armed ``Sanitizer``.
 
-        ``live_uops`` is every in-flight (renamed, unsquashed) µ-op the
-        core still tracks; ``ghosts_in_latch`` the validated tail ghosts
-        sitting in the rename latch (their heads' ``Active NCS`` slot is
-        already released but the head is still ``pending`` until the
-        ghost dispatches).  Returns human-readable violation strings;
-        empty means every invariant holds.
+        Appends human-readable violation strings to ``out``; none means
+        every invariant holds.  ``in_flight`` answers ``uop in
+        in_flight`` for the renamed, unsquashed µ-ops the core still
+        tracks (rename latch and ROB).  ``pending_heads`` counts the
+        pending NCSF heads among them that renamed;
+        ``validated_ghosts`` the validated tail ghosts in the rename
+        latch (their heads' ``Active NCS`` slot is already released
+        but the head stays ``pending`` until the ghost dispatches).
         """
-        out: List[str] = []
         cap_int = self.config.int_prf_size - 32
         cap_fp = self.config.fp_prf_size - 32
         if not 0 <= self.free_int <= cap_int:
@@ -351,23 +352,18 @@ class RenameUnit:
         # RAT <-> ROB consistency: every current mapping points at a
         # committed µ-op or a live in-flight one — never at a squashed,
         # uncommitted µ-op (the writer undo log must have unwound it).
-        live_ids = {id(u) for u in live_uops}
         for reg, writer in self._writers.items():
-            if writer.squashed and not writer.committed:
+            if writer.committed:
+                continue
+            if writer.squashed:
                 out.append("RAT[%d] -> squashed uncommitted seq %d"
                            % (reg, writer.seq))
-            elif not writer.committed and id(writer) not in live_ids:
+            elif writer not in in_flight:
                 out.append("RAT[%d] -> untracked in-flight seq %d"
                            % (reg, writer.seq))
         # NCS nesting-counter balance: Active NCS equals the pending
         # NCSF heads that renamed, minus heads whose ghost validated
         # but has not dispatched yet (the slot frees at ghost rename).
-        pending_heads = sum(
-            1 for u in live_uops
-            if u.fusion is FusionKind.NCSF and u.pending and u.rename_c)
-        validated_ghosts = sum(
-            1 for g in ghosts_in_latch
-            if g.ghost_of is not None and g.ghost_of.pending)
         expected = pending_heads - validated_ghosts
         if self.active_ncs != expected:
             out.append(
@@ -394,7 +390,8 @@ class RenameUnit:
             if self.ncsf_serializing or self.ncsf_storepair:
                 out.append("NCSF Serializing/StorePair bits outlive "
                            "the nest")
-        else:
+        elif self.max_active_ncs > 0:
+            # (A negative count is reported above and has no levels.)
             limit = 1 << self.max_active_ncs
             for reg, bits in self.deadlock_tags.items():
                 if bits <= 0 or bits >= limit:
@@ -402,4 +399,3 @@ class RenameUnit:
                         "deadlock tag for reg %d has bits 0x%x outside "
                         "live nest levels [0, %d)"
                         % (reg, bits, self.max_active_ncs))
-        return out

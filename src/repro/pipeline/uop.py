@@ -45,7 +45,6 @@ class PipeUop:
         "fetch_c", "rename_c", "dispatch_c", "issue_c", "complete_c",
         "committed", "squashed", "in_iq", "not_before",
         "mispredicted_branch", "fp_prediction",
-        "raw_corrected", "unfused_reason",
         # Hot-path materialized fields (avoid property overhead in the
         # per-cycle scheduler scan).
         "seq", "pc", "opclass", "is_memory", "is_load", "is_store",
@@ -92,8 +91,6 @@ class PipeUop:
         self.in_iq = False
         self.mispredicted_branch = False
         self.fp_prediction = None
-        self.raw_corrected = False
-        self.unfused_reason: Optional[str] = None
         # Inline single-destination bookkeeping (the construction-time
         # case: fusion arrives later via fuse_* -> _rebuild_dests).
         dest = head.dest
@@ -162,7 +159,7 @@ class PipeUop:
         self.pending = False
         self.ncs_ready = True
 
-    def unfuse(self, reason: str) -> Optional[MicroOp]:
+    def unfuse(self) -> Optional[MicroOp]:
         """Revert to a simple µ-op; returns the dropped tail, if any."""
         tail = self.tail
         self.tail = None
@@ -173,7 +170,6 @@ class PipeUop:
         self.idiom = None
         self.pending = False
         self.ncs_ready = True
-        self.unfused_reason = reason
         self._rebuild_dests()
         return tail
 

@@ -81,6 +81,3 @@ class UopCache:
         self._groups.move_to_end(start_pc)
         while len(self._groups) > self.capacity:
             self._groups.popitem(last=False)
-
-    def invalidate(self) -> None:
-        self._groups.clear()

@@ -36,9 +36,7 @@ class _Entry:
 class _Table:
     """A set-associative FP side (local or gshare)."""
 
-    def __init__(self, sets: int, ways: int, tag_bits: int,
-                 confidence_bump=None):
-        self.tag_mask = (1 << tag_bits) - 1
+    def __init__(self, sets: int, ways: int, confidence_bump=None):
         self._entries: List[List[_Entry]] = [
             [_Entry() for _ in range(ways)] for _ in range(sets)]
         self._tick = 0
@@ -121,8 +119,8 @@ class FusionPredictor:
             from repro.predictors.fp_variants import _Dice
             dice = _Dice()
             bump = lambda: dice.one_in(2)  # noqa: E731
-        self.local = _Table(sets, ways, tag_bits, confidence_bump=bump)
-        self.gshare = _Table(sets, ways, tag_bits, confidence_bump=bump)
+        self.local = _Table(sets, ways, confidence_bump=bump)
+        self.gshare = _Table(sets, ways, confidence_bump=bump)
         self.selector = [2] * selector_entries
         self._selector_mask = selector_entries - 1
         self._set_mask = sets - 1

@@ -99,7 +99,3 @@ class UnfusedCommittedHistory:
         victim.cn = cn
         victim.pc = pc
         victim.seq = seq
-
-    def invalidate_all(self) -> None:
-        for entry in self.entries:
-            entry.valid = False

@@ -82,6 +82,3 @@ class UCHUpdateQueue:
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def flush(self) -> None:
-        self._queue.clear()

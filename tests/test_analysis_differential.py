@@ -57,7 +57,9 @@ def test_check_pipeline_commits_every_uop():
         trace, ProcessorConfig(fusion_mode=FusionMode.ORACLE), legality)
     assert check.ok
     assert check.committed_pairs >= 1
-    assert check.sanitizer_checks > 0
+    # A checked run checks every cycle (no fast-forward under the
+    # sanitizer).
+    assert check.sanitizer_checks == check.stats.cycles > 0
 
 
 def test_check_pipeline_flags_illegal_committed_pair():

@@ -1,5 +1,7 @@
 """Unit tests for the static fusion-legality analyzer."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.legality import (
@@ -10,6 +12,7 @@ from repro.analysis.legality import (
 )
 from repro.fusion.oracle import oracle_memory_pairs
 from repro.isa import assemble, run_program
+from repro.workloads.catalog import build_workload
 
 
 def trace_of(source):
@@ -451,6 +454,40 @@ def test_explain_pc_respects_limit():
     pc = trace.uops[1].pc
     assert len(analyzer.explain_pc(pc, limit=5)) == 5
     assert len(analyzer.explain_pc(pc)) == 20
+
+
+#: ``LegalityReport.to_dict()`` and the sha256 of ``repr(sorted(legal))``
+#: for catalog traces cut at 4,000 µ-ops.
+PINNED_REPORTS = {
+    "602.gcc_3": (
+        {"alias": {"no_alias": 1992}, "candidates": 12858,
+         "legal_pairs": 1992,
+         "reasons": {"aliasing-store": 3451, "same-dest": 2966,
+                     "span>granularity": 7159}},
+        "5cf708d0ecdb30121346120f0f5948f195f930631f88cd9c59ccde11ec8eeefb"),
+    "657.xz_1": (
+        {"alias": {"no_alias": 1042}, "candidates": 16384,
+         "legal_pairs": 1042,
+         "reasons": {"aliasing-store": 14997, "same-dest": 345,
+                     "span>granularity": 9111}},
+        "8bdd6438595409eaa5077b2474ae56e9c28eb5d4b7b2fa1b9c20de37cb3ca54f"),
+    "blowfish": (
+        {"alias": {"no_alias": 182}, "candidates": 2855,
+         "legal_pairs": 182,
+         "reasons": {"same-dest": 439, "span>granularity": 2656}},
+        "06301663b25ed2c1934ec6dd64e9c12b16661684bfab9d4c6aa3f43bab161b04"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_verdicts_pinned_on_catalog_traces(name):
+    counts, legal_sha = PINNED_REPORTS[name]
+    report = LegalityAnalyzer(build_workload(name, max_uops=4000)).analyze()
+    expected = dict(counts, trace=name, uops=4000, granularity=64,
+                    max_distance=64, rebinding=True)
+    assert report.to_dict() == expected
+    assert hashlib.sha256(
+        repr(sorted(report.legal)).encode()).hexdigest() == legal_sha
 
 
 from hypothesis import given, settings  # noqa: E402

@@ -53,7 +53,7 @@ def test_differential_clean_on_synthesized_kernels(source):
     assert report.ok, [d.detail for d in report.divergences]
     assert len(report.checks) == len(FusionMode)
     for check in report.checks:
-        assert check.sanitizer_checks > 0
+        assert check.sanitizer_checks == check.stats.cycles > 0
 
 
 @pytest.mark.parametrize("name", workload_names())
@@ -61,3 +61,5 @@ def test_differential_clean_on_catalog_workload(name):
     report = analyze_workload(name, max_uops=1000)
     assert report.ok, [d.detail for d in report.divergences]
     assert len(report.checks) == len(FusionMode)
+    for check in report.checks:
+        assert check.sanitizer_checks == check.stats.cycles > 0

@@ -3,6 +3,7 @@ event ring + pipeline observer, the Chrome trace / ASCII exporters, the
 top-down CPI accounting surfaced on SimResult, and the ``repro debug``
 command."""
 
+import io
 import json
 import math
 
@@ -19,7 +20,9 @@ from repro.obs import (
     cpi_report,
     occupancy_report,
     validate_chrome_trace,
+    write_chrome_trace,
 )
+from repro.obs import export
 from repro.pipeline.core import TOPDOWN_BUCKETS, PipelineCore
 from repro.workloads import build_workload
 
@@ -112,6 +115,22 @@ def test_chrome_trace_export_is_valid_and_loads_as_json():
     commits = [e for e in payload["traceEvents"]
                if e["ph"] == "X" and e["args"].get("stage") == "commit"]
     assert commits
+
+
+def test_write_chrome_trace_writes_the_bytes_of_json_dump(monkeypatch):
+    result, observer = _small_traced_run()
+    payload = chrome_trace(observer.events(), workload=result.workload,
+                           mode=result.mode.value,
+                           dropped=observer.ring.dropped)
+    dumped = io.StringIO()
+    json.dump(payload, dumped)
+    # One event per chunk, a chunk boundary inside the list, and the
+    # whole list in one chunk.
+    for chunk in (1, 7, len(payload["traceEvents"])):
+        monkeypatch.setattr(export, "_EVENTS_PER_CHUNK", chunk)
+        streamed = io.StringIO()
+        write_chrome_trace(payload, streamed)
+        assert streamed.getvalue() == dumped.getvalue()
 
 
 def test_chrome_trace_slices_span_to_next_milestone():

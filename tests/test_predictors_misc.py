@@ -136,10 +136,3 @@ def test_queue_drains_through_uch_and_trains():
     assert total == 2
     assert trained == [(0x104, 3, 2)]
 
-
-def test_queue_flush():
-    queue = UCHUpdateQueue()
-    queue.begin_cycle()
-    queue.push(0x100, 0x20000, 1, 0)
-    queue.flush()
-    assert len(queue) == 0

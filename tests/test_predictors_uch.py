@@ -81,13 +81,6 @@ def test_single_entry_store_history():
     assert uch.observe(pc=0x10C, addr=0x20008, commit_number=4) is None  # 0x20000 displaced at cn=3
 
 
-def test_invalidate_all():
-    uch = UnfusedCommittedHistory(entries=6)
-    uch.observe(pc=0x100, addr=0x20000, commit_number=1)
-    uch.invalidate_all()
-    assert uch.observe(pc=0x104, addr=0x20008, commit_number=2) is None
-
-
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 127)), max_size=60))
 def test_uch_never_reports_zero_or_oversized_distance(events):
     """Property: any reported distance d satisfies 0 < d <= max."""

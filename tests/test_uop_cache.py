@@ -51,13 +51,6 @@ def test_lru_eviction():
     assert cache.lookup(0x100, [0x100, 0x104]) is not None
 
 
-def test_invalidate():
-    cache = UopCache()
-    cache.fill(0x100, _fused_group(0x100))
-    cache.invalidate()
-    assert cache.lookup(0x100, [0x100, 0x104]) is None
-
-
 def test_fill_ignores_fusion_free_groups():
     """The cache preserves fusions; fusion-free groupings are not
     frozen (the decoder may do better next time)."""
